@@ -12,16 +12,9 @@ from .checks import (
     CHECK_NAMES,
     CHECK_ORDER,
     VERDICTS,
-    CheckId,
     CheckItem,
     CheckReport,
     SuiteReport,
-    check_file_conventions,
-    check_info_structure,
-    check_json_valid,
-    check_percent_range,
-    check_tabular_conventions,
-    cross_check_measures,
     format_percentage,
     run_suite,
 )
@@ -75,7 +68,6 @@ __all__ = [
     "CHECK_ORDER",
     "CORE_ELEMENTS",
     "VERDICTS",
-    "CheckId",
     "CheckItem",
     "CheckReport",
     "CheckSettings",
@@ -101,13 +93,7 @@ __all__ = [
     "UnknownIndicatorError",
     "UnknownPrincipleError",
     "check_char_limits",
-    "check_file_conventions",
-    "check_info_structure",
-    "check_json_valid",
-    "check_percent_range",
-    "check_tabular_conventions",
     "convert_checklist",
-    "cross_check_measures",
     "customized_schema",
     "default_config",
     "default_schema",

@@ -1,10 +1,22 @@
 """The validation catalog: checks T2-T14 over a repository snapshot.
 
-Every check is a pure function of (snapshot, config) producing a
-CheckReport whose items carry one of the closed verdicts. Checks never
-raise for repository defects — defects become items — so a suite run
-always completes. Check ids and report names are frozen; the catalog
-starts at T2 and the gap is deliberate.
+The catalog is one registry, ``CHECKS``: each entry holds a frozen check
+id, its report name, the subject it visits and a function returning that
+check's items for one subject. A subject is one of
+
+- ``"table"``: each data table, parsed or not;
+- ``"info"``: each measure_info file, parsed or not;
+- ``"file"``: each classified file;
+- ``"repo"``: the whole snapshot, visited once.
+
+The runner owns the work common to every check. It skips subjects outside
+the check's ``include``/``exclude`` scope (for ``"repo"`` checks, the items
+whose path is out of scope), and it turns a table or measure_info file that
+failed to parse into one ``error`` item, so item functions only ever see
+parsed subjects. Item functions are pure and never raise for repository
+defects — defects become items — so a suite run always completes. Adding a
+check means adding one registry entry. Check ids and report names are
+frozen; the catalog starts at T2 and the gap is deliberate.
 """
 
 from __future__ import annotations
@@ -12,49 +24,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 from pathlib import PurePosixPath
+from typing import Callable, Iterable
 
-from .config import RepoConfig, CheckSettings, default_config
+from .config import RepoConfig, default_config
 from .errors import ConfigError, DomainError, ExpansionError
 from .expansion import expand_dynamic
 from .metadata import MeasureInfoFile
-from .scanner import DataTable, ParseFailure, RepoSnapshot
+from .scanner import ClassifiedFile, DataTable, ParseFailure, RepoSnapshot
 from .schema import REFERENCES_KEY, validate_entry_keys
-
-CHECK_NAMES: dict[str, str] = {
-    "T2": "test_percent_data",
-    "T3": "test_measure_info_structure",
-    "T4": "test_measure_type",
-    "T5": "test_measure_info_missing_measures",
-    "T6": "test_columns",
-    "T7": "test_measure_info_keys",
-    "T8": "test_jsons",
-    "T9": "test_region_type",
-    "T10": "test_known_measures",
-    "T11": "test_file_name",
-    "T12": "test_code_exists",
-    "T13": "test_file_name_len",
-    "T14": "test_measure_info_extra_measures",
-}
-
-CHECK_ORDER: tuple[str, ...] = tuple(sorted(CHECK_NAMES, key=lambda cid: int(cid[1:])))
 
 VERDICTS = ("valid", "invalid", "missing", "extra", "error", "skipped")
 _DETAIL_REQUIRED = {"invalid", "missing", "extra", "error"}
-
-
-@dataclass(frozen=True)
-class CheckId:
-    """A catalog entry: frozen id and its report filename stem."""
-
-    id: str
-    name: str
-
-
-def check_id(cid: str) -> CheckId:
-    if cid not in CHECK_NAMES:
-        raise ConfigError(f"unknown check id: {cid} (known: {', '.join(CHECK_ORDER)})")
-    return CheckId(id=cid, name=CHECK_NAMES[cid])
 
 
 @dataclass(frozen=True)
@@ -74,10 +56,20 @@ class CheckItem:
 
 
 @dataclass(frozen=True)
+class Check:
+    """A registry entry: frozen id, report filename stem, subject, item function."""
+
+    id: str
+    name: str
+    subject: str
+    visit: Callable[..., Iterable[CheckItem]]
+
+
+@dataclass(frozen=True)
 class CheckReport:
     """All items one check produced, with verdict counts."""
 
-    check: CheckId
+    check: Check
     items: tuple[CheckItem, ...] = ()
 
     @property
@@ -148,14 +140,16 @@ def _ancestor_dirs(path: str):
 
 @dataclass(frozen=True)
 class _Pairing:
-    """Nearest-ancestor association of data tables with measure_info files."""
+    """Nearest-ancestor association of parsed data tables with measure_info files."""
 
     # table path → ("ok", info path) | ("none", "") | ("ambiguous", dir) | ("broken", info path)
     table_status: dict[str, tuple[str, str]]
-    # info path → table paths it governs (only unambiguous, parsed infos)
-    info_tables: dict[str, list[str]]
+    # info path → tables it governs (only unambiguous, parsed infos)
+    info_tables: dict[str, list[DataTable]]
     # dirs holding more than one measure_info file
     ambiguous_dirs: dict[str, list[str]]
+    # parsed info path → its expanded ids and per-entry failures
+    expanded: dict[str, tuple[set[str], list[tuple[str, str]]]]
 
 
 def _pair_tables(snapshot: RepoSnapshot) -> _Pairing:
@@ -170,10 +164,10 @@ def _pair_tables(snapshot: RepoSnapshot) -> _Pairing:
     }
 
     table_status: dict[str, tuple[str, str]] = {}
-    info_tables: dict[str, list[str]] = {
+    info_tables: dict[str, list[DataTable]] = {
         info.path: [] for info in snapshot.measure_info_files
     }
-    for table in snapshot.data_tables:
+    for table in snapshot.parsed_tables:
         status: tuple[str, str] = ("none", "")
         for ancestor in _ancestor_dirs(table.path):
             infos = info_by_dir.get(ancestor)
@@ -185,52 +179,58 @@ def _pair_tables(snapshot: RepoSnapshot) -> _Pairing:
                 status = ("broken", infos[0].path)
             else:
                 status = ("ok", infos[0].path)
-                info_tables[infos[0].path].append(table.path)
+                info_tables[infos[0].path].append(table)
             break
         table_status[table.path] = status
     return _Pairing(
-        table_status=table_status, info_tables=info_tables, ambiguous_dirs=ambiguous_dirs
+        table_status=table_status,
+        info_tables=info_tables,
+        ambiguous_dirs=ambiguous_dirs,
+        expanded={info.path: _expanded_ids(info) for info in snapshot.parsed_measure_infos},
     )
 
 
 def _expanded_ids(info: MeasureInfoFile) -> tuple[set[str], list[tuple[str, str]]]:
-    """Concrete measure ids after dynamic expansion, plus per-entry failures."""
+    """Concrete measure ids after dynamic expansion, plus per-entry failures.
+
+    An entry fails when it cannot be expanded, or when one of its ids
+    collides with an id of an earlier entry of the same file.
+    """
     ids: set[str] = set()
     failures: list[tuple[str, str]] = []
     for entry in info:
         try:
-            ids.update(e.measure_id for e in expand_dynamic(entry))
+            concrete = [e.measure_id for e in expand_dynamic(entry)]
         except ExpansionError as exc:
             failures.append((entry.measure_id, str(exc)))
             ids.add(entry.measure_id)
+            continue
+        clash = next((mid for mid in concrete if mid in ids), None)
+        if clash is not None:
+            failures.append(
+                (entry.measure_id, f"expanded id {clash!r} collides with an existing entry")
+            )
+        ids.update(concrete)
     return ids, failures
+
+
+class _Run:
+    """What the checks of one run_suite call share."""
+
+    def __init__(self, snapshot: RepoSnapshot, config: RepoConfig) -> None:
+        self.snapshot = snapshot
+        self.config = config
+
+    @cached_property
+    def pairing(self) -> _Pairing:
+        return _pair_tables(self.snapshot)
 
 
 # ---------------------------------------------------------------- T2
 
 
-def check_percent_range(snapshot: RepoSnapshot, config: RepoConfig | None = None) -> CheckReport:
+def _percent_items(table: DataTable, run: _Run) -> list[CheckItem]:
     """T2: percent-typed measures stay within 0-100 and are not 0-1 fractions."""
-    config = config or default_config()
-    settings = config.check_settings("T2")
-    items: list[CheckItem] = []
-    for entry in snapshot.data_tables:
-        if not settings.applies_to(entry.path):
-            continue
-        if isinstance(entry, ParseFailure):
-            items.append(
-                CheckItem(
-                    path=entry.path,
-                    verdict="error",
-                    detail=f"table could not be parsed: {entry.message}",
-                )
-            )
-            continue
-        items.extend(_percent_items(entry, config))
-    return CheckReport(check=check_id("T2"), items=tuple(items))
-
-
-def _percent_items(table: DataTable, config: RepoConfig) -> list[CheckItem]:
     if "measure_type" not in table.columns:
         return []
     grouped: dict[str, list[str]] = {}
@@ -272,7 +272,7 @@ def _percent_items(table: DataTable, config: RepoConfig) -> list[CheckItem]:
                 )
             )
             continue
-        if len(values) >= config.fraction_min_rows and all(0 <= v <= 1 for v in values):
+        if len(values) >= run.config.fraction_min_rows and all(0 <= v <= 1 for v in values):
             items.append(
                 CheckItem(
                     path=table.path,
@@ -292,359 +292,221 @@ def _percent_items(table: DataTable, config: RepoConfig) -> list[CheckItem]:
 # ---------------------------------------------------------------- T3, T7
 
 
-def check_info_structure(
-    snapshot: RepoSnapshot, config: RepoConfig | None = None
-) -> tuple[CheckReport, CheckReport]:
-    """T3: entries use only allowable keys. T7: expected keys present and filled."""
-    config = config or default_config()
-    schema = config.schema
-    t3_settings = config.check_settings("T3")
-    t7_settings = config.check_settings("T7")
-    allowed = set(schema.allowed_keys)
-    t3_items: list[CheckItem] = []
-    t7_items: list[CheckItem] = []
+def _allowed_key_items(info: MeasureInfoFile, run: _Run):
+    """T3: entries and the reserved references block use only allowable keys."""
+    allowed = run.config.schema.allowed_keys
+    for measure_id, entry in info.entries.items():
+        disallowed = sorted(k for k in entry.data if k not in allowed)
+        if disallowed:
+            yield CheckItem(
+                path=info.path,
+                key=measure_id,
+                verdict="invalid",
+                detail=f"keys outside the allowable list: {', '.join(disallowed)}",
+            )
+        else:
+            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
 
-    for info in snapshot.measure_info_files:
-        if isinstance(info, ParseFailure):
-            detail = f"file could not be parsed: {info.message}"
-            if t3_settings.applies_to(info.path):
-                t3_items.append(CheckItem(path=info.path, verdict="error", detail=detail))
-            if t7_settings.applies_to(info.path):
-                t7_items.append(CheckItem(path=info.path, verdict="error", detail=detail))
-            continue
+    if info.references is not None:
+        # The bibliography block is reserved structure, not a measure entry.
+        empty = sorted(r.ref_id for r in info.references.values() if not r.fields)
+        if empty:
+            yield CheckItem(
+                path=info.path,
+                key=REFERENCES_KEY,
+                verdict="invalid",
+                detail=f"references without any fields: {', '.join(empty)}",
+            )
+        else:
+            yield CheckItem(path=info.path, key=REFERENCES_KEY, verdict="valid")
 
-        in_t3 = t3_settings.applies_to(info.path)
-        in_t7 = t7_settings.applies_to(info.path)
-        for measure_id, entry in info.entries.items():
-            if in_t3:
-                disallowed = sorted(k for k in entry.data if k not in allowed)
-                if disallowed:
-                    t3_items.append(
-                        CheckItem(
-                            path=info.path,
-                            key=measure_id,
-                            verdict="invalid",
-                            detail=f"keys outside the allowable list: {', '.join(disallowed)}",
-                        )
-                    )
-                else:
-                    t3_items.append(CheckItem(path=info.path, key=measure_id, verdict="valid"))
-            if in_t7:
-                report = validate_entry_keys(entry, schema)
-                problems = []
-                if report.absent:
-                    problems.append(f"absent: {', '.join(report.absent)}")
-                if report.blank:
-                    problems.append(f"blank: {', '.join(report.blank)}")
-                if problems:
-                    t7_items.append(
-                        CheckItem(
-                            path=info.path,
-                            key=measure_id,
-                            verdict="invalid",
-                            detail="; ".join(problems),
-                        )
-                    )
-                else:
-                    t7_items.append(CheckItem(path=info.path, key=measure_id, verdict="valid"))
 
-        if in_t3 and info.references is not None:
-            # The bibliography block is reserved structure, not a measure entry.
-            empty = sorted(r.ref_id for r in info.references.values() if not r.fields)
-            if empty:
-                t3_items.append(
-                    CheckItem(
-                        path=info.path,
-                        key=REFERENCES_KEY,
-                        verdict="invalid",
-                        detail=f"references without any fields: {', '.join(empty)}",
-                    )
-                )
-            else:
-                t3_items.append(
-                    CheckItem(path=info.path, key=REFERENCES_KEY, verdict="valid")
-                )
-
-    return (
-        CheckReport(check=check_id("T3"), items=tuple(t3_items)),
-        CheckReport(check=check_id("T7"), items=tuple(t7_items)),
-    )
+def _expected_key_items(info: MeasureInfoFile, run: _Run):
+    """T7: expected keys are present and filled."""
+    for measure_id, entry in info.entries.items():
+        report = validate_entry_keys(entry, run.config.schema)
+        problems = []
+        if report.absent:
+            problems.append(f"absent: {', '.join(report.absent)}")
+        if report.blank:
+            problems.append(f"blank: {', '.join(report.blank)}")
+        if problems:
+            yield CheckItem(
+                path=info.path, key=measure_id, verdict="invalid", detail="; ".join(problems)
+            )
+        else:
+            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
 
 
 # ---------------------------------------------------------------- T5, T14
 
 
-def cross_check_measures(
-    snapshot: RepoSnapshot, config: RepoConfig | None = None
-) -> tuple[CheckReport, CheckReport]:
-    """T5: data-table measures all have metadata. T14: metadata names no stale measures."""
-    config = config or default_config()
-    t5_settings = config.check_settings("T5")
-    t14_settings = config.check_settings("T14")
-    pairing = _pair_tables(snapshot)
+def _missing_measure_items(snapshot: RepoSnapshot, run: _Run):
+    """T5: every measure in a parsed data table has metadata.
 
-    expanded: dict[str, tuple[set[str], list[tuple[str, str]]]] = {}
-    for info in snapshot.measure_info_files:
-        if isinstance(info, MeasureInfoFile):
-            expanded[info.path] = _expanded_ids(info)
-
-    t5_items: list[CheckItem] = []
-    for table in snapshot.data_tables:
-        if isinstance(table, ParseFailure) or not t5_settings.applies_to(table.path):
-            continue
+    Visits the whole snapshot rather than each table because a table that
+    failed to parse gets no T5 item; T2, T4, T6, T9 and T10 report it.
+    """
+    pairing = run.pairing
+    for table in snapshot.parsed_tables:
         status, ref = pairing.table_status[table.path]
         if status == "none":
-            t5_items.append(
-                CheckItem(
-                    path=table.path,
-                    verdict="invalid",
-                    detail="no measure_info file found in this or any parent directory",
-                )
+            yield CheckItem(
+                path=table.path,
+                verdict="invalid",
+                detail="no measure_info file found in this or any parent directory",
             )
-            continue
-        if status == "ambiguous":
+        elif status == "ambiguous":
             siblings = ", ".join(pairing.ambiguous_dirs[ref])
-            t5_items.append(
-                CheckItem(
-                    path=table.path,
-                    verdict="error",
-                    detail=f"ambiguous pairing: multiple measure_info files claim this table ({siblings})",
-                )
+            yield CheckItem(
+                path=table.path,
+                verdict="error",
+                detail=f"ambiguous pairing: multiple measure_info files claim this table ({siblings})",
             )
-            continue
-        if status == "broken":
-            t5_items.append(
-                CheckItem(
-                    path=table.path,
-                    verdict="error",
-                    detail=f"paired measure_info file could not be parsed: {ref}",
-                )
+        elif status == "broken":
+            yield CheckItem(
+                path=table.path,
+                verdict="error",
+                detail=f"paired measure_info file could not be parsed: {ref}",
             )
-            continue
-        known_ids = expanded[ref][0]
-        for measure in sorted(table.distinct_measures):
-            if measure in known_ids:
-                t5_items.append(CheckItem(path=table.path, key=measure, verdict="valid"))
-            else:
-                t5_items.append(
-                    CheckItem(
+        else:
+            known_ids = pairing.expanded[ref][0]
+            for measure in sorted(table.distinct_measures):
+                if measure in known_ids:
+                    yield CheckItem(path=table.path, key=measure, verdict="valid")
+                else:
+                    yield CheckItem(
                         path=table.path,
                         key=measure,
                         verdict="missing",
                         detail=f"measure {measure!r} has no entry in {ref}",
                     )
-                )
 
-    tables_by_path = {t.path: t for t in snapshot.parsed_tables}
-    t14_items: list[CheckItem] = []
-    for info in snapshot.measure_info_files:
-        if not t14_settings.applies_to(info.path):
-            continue
-        if isinstance(info, ParseFailure):
-            t14_items.append(
-                CheckItem(
-                    path=info.path,
-                    verdict="error",
-                    detail=f"file could not be parsed: {info.message}",
-                )
-            )
-            continue
-        info_dir = _dir_of(info.path)
-        if info_dir in pairing.ambiguous_dirs:
-            siblings = ", ".join(pairing.ambiguous_dirs[info_dir])
-            t14_items.append(
-                CheckItem(
-                    path=info.path,
-                    verdict="error",
-                    detail=f"ambiguous pairing: directory holds multiple measure_info files ({siblings})",
-                )
-            )
-            continue
-        ids, failures = expanded[info.path]
-        for measure_id, message in failures:
-            t14_items.append(
-                CheckItem(
-                    path=info.path,
-                    key=measure_id,
-                    verdict="error",
-                    detail=f"dynamic entry could not be expanded: {message}",
-                )
-            )
-        failed = {measure_id for measure_id, _ in failures}
-        in_data: set[str] = set()
-        for table_path in pairing.info_tables[info.path]:
-            in_data.update(tables_by_path[table_path].distinct_measures)
-        for measure_id in sorted(ids - failed):
-            if measure_id in in_data:
-                t14_items.append(CheckItem(path=info.path, key=measure_id, verdict="valid"))
-            else:
-                t14_items.append(
-                    CheckItem(
-                        path=info.path,
-                        key=measure_id,
-                        verdict="extra",
-                        detail=f"measure {measure_id!r} appears in no corresponding data table",
-                    )
-                )
 
-    return (
-        CheckReport(check=check_id("T5"), items=tuple(t5_items)),
-        CheckReport(check=check_id("T14"), items=tuple(t14_items)),
-    )
+def _extra_measure_items(info: MeasureInfoFile, run: _Run):
+    """T14: metadata names no measure that its data tables lack."""
+    pairing = run.pairing
+    info_dir = _dir_of(info.path)
+    if info_dir in pairing.ambiguous_dirs:
+        siblings = ", ".join(pairing.ambiguous_dirs[info_dir])
+        yield CheckItem(
+            path=info.path,
+            verdict="error",
+            detail=f"ambiguous pairing: directory holds multiple measure_info files ({siblings})",
+        )
+        return
+    ids, failures = pairing.expanded[info.path]
+    for measure_id, message in failures:
+        yield CheckItem(
+            path=info.path,
+            key=measure_id,
+            verdict="error",
+            detail=f"dynamic entry could not be expanded: {message}",
+        )
+    failed = {measure_id for measure_id, _ in failures}
+    in_data: set[str] = set()
+    for table in pairing.info_tables[info.path]:
+        in_data.update(table.distinct_measures)
+    for measure_id in sorted(ids - failed):
+        if measure_id in in_data:
+            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
+        else:
+            yield CheckItem(
+                path=info.path,
+                key=measure_id,
+                verdict="extra",
+                detail=f"measure {measure_id!r} appears in no corresponding data table",
+            )
 
 
 # ---------------------------------------------------------------- T4, T6, T9, T10
 
 
-def check_tabular_conventions(
-    snapshot: RepoSnapshot, config: RepoConfig | None = None
-) -> tuple[CheckReport, CheckReport, CheckReport, CheckReport]:
-    """T4: measure types. T6: column names. T9: region types. T10: known measures."""
-    config = config or default_config()
-    schema = config.schema
-    settings = {cid: config.check_settings(cid) for cid in ("T4", "T6", "T9", "T10")}
-    items: dict[str, list[CheckItem]] = {cid: [] for cid in settings}
+def _vocabulary_items(table: DataTable, element: str, present: frozenset[str], run: _Run):
+    vocabulary = run.config.schema.vocabulary(element)
+    for value in sorted(present):
+        if value in vocabulary:
+            yield CheckItem(path=table.path, key=value, verdict="valid")
+        else:
+            yield CheckItem(
+                path=table.path,
+                key=value,
+                verdict="invalid",
+                detail=f"{element} {value!r} not in the configured vocabulary",
+            )
 
-    measure_types = schema.vocabulary("measure_type")
-    region_types = schema.vocabulary("region_type")
-    required = set(config.required_columns)
-    optional = set(config.optional_columns)
 
-    for entry in snapshot.data_tables:
-        if isinstance(entry, ParseFailure):
-            for cid, setting in settings.items():
-                if setting.applies_to(entry.path):
-                    items[cid].append(
-                        CheckItem(
-                            path=entry.path,
-                            verdict="error",
-                            detail=f"table could not be parsed: {entry.message}",
-                        )
-                    )
-            continue
+def _measure_type_items(table: DataTable, run: _Run):
+    """T4: measure types come from the configured vocabulary."""
+    return _vocabulary_items(table, "measure_type", table.distinct_measure_types, run)
 
-        table = entry
-        if settings["T4"].applies_to(table.path):
-            for mtype in sorted(table.distinct_measure_types):
-                if mtype in measure_types:
-                    items["T4"].append(CheckItem(path=table.path, key=mtype, verdict="valid"))
-                else:
-                    items["T4"].append(
-                        CheckItem(
-                            path=table.path,
-                            key=mtype,
-                            verdict="invalid",
-                            detail=f"measure_type {mtype!r} not in the configured vocabulary",
-                        )
-                    )
 
-        if settings["T6"].applies_to(table.path):
-            present = set(table.columns)
-            absent = sorted(required - present)
-            unexpected = sorted(present - required - optional)
-            problems = []
-            if absent:
-                problems.append(f"missing columns: {', '.join(absent)}")
-            if unexpected:
-                problems.append(f"unexpected columns: {', '.join(unexpected)}")
-            if problems:
-                items["T6"].append(
-                    CheckItem(path=table.path, verdict="invalid", detail="; ".join(problems))
-                )
-            else:
-                items["T6"].append(CheckItem(path=table.path, verdict="valid"))
+def _column_items(table: DataTable, run: _Run):
+    """T6: required columns present, no column outside required and optional."""
+    required = set(run.config.required_columns)
+    present = set(table.columns)
+    absent = sorted(required - present)
+    unexpected = sorted(present - required - set(run.config.optional_columns))
+    problems = []
+    if absent:
+        problems.append(f"missing columns: {', '.join(absent)}")
+    if unexpected:
+        problems.append(f"unexpected columns: {', '.join(unexpected)}")
+    if problems:
+        return [CheckItem(path=table.path, verdict="invalid", detail="; ".join(problems))]
+    return [CheckItem(path=table.path, verdict="valid")]
 
-        if settings["T9"].applies_to(table.path) and "region_type" in table.columns:
-            for rtype in sorted(table.distinct_region_types):
-                if rtype in region_types:
-                    items["T9"].append(CheckItem(path=table.path, key=rtype, verdict="valid"))
-                else:
-                    items["T9"].append(
-                        CheckItem(
-                            path=table.path,
-                            key=rtype,
-                            verdict="invalid",
-                            detail=f"region_type {rtype!r} not in the configured vocabulary",
-                        )
-                    )
 
-        if settings["T10"].applies_to(table.path):
-            if config.known_measures is None:
-                items["T10"].append(
-                    CheckItem(
-                        path=table.path,
-                        verdict="skipped",
-                        detail="no known-measures list configured",
-                    )
-                )
-            else:
-                for measure in sorted(table.distinct_measures):
-                    if measure in config.known_measures:
-                        items["T10"].append(
-                            CheckItem(path=table.path, key=measure, verdict="valid")
-                        )
-                    else:
-                        items["T10"].append(
-                            CheckItem(
-                                path=table.path,
-                                key=measure,
-                                verdict="invalid",
-                                detail=f"measure {measure!r} not in the known-measures list",
-                            )
-                        )
+def _region_type_items(table: DataTable, run: _Run):
+    """T9: region types come from the configured vocabulary."""
+    if "region_type" not in table.columns:
+        return ()
+    return _vocabulary_items(table, "region_type", table.distinct_region_types, run)
 
-    return tuple(CheckReport(check=check_id(cid), items=tuple(items[cid])) for cid in ("T4", "T6", "T9", "T10"))  # type: ignore[return-value]
+
+def _known_measure_items(table: DataTable, run: _Run):
+    """T10: measures appear in the configured known-measures list, when there is one."""
+    known = run.config.known_measures
+    if known is None:
+        yield CheckItem(
+            path=table.path, verdict="skipped", detail="no known-measures list configured"
+        )
+        return
+    for measure in sorted(table.distinct_measures):
+        if measure in known:
+            yield CheckItem(path=table.path, key=measure, verdict="valid")
+        else:
+            yield CheckItem(
+                path=table.path,
+                key=measure,
+                verdict="invalid",
+                detail=f"measure {measure!r} not in the known-measures list",
+            )
 
 
 # ---------------------------------------------------------------- T11, T12, T13
 
 
-def check_file_conventions(
-    snapshot: RepoSnapshot, config: RepoConfig | None = None
-) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """T11: naming pattern + extension allowlist. T12: distribution code exists. T13: name length."""
-    config = config or default_config()
-    t11_settings = config.check_settings("T11")
-    t12_settings = config.check_settings("T12")
-    t13_settings = config.check_settings("T13")
-    pattern = re.compile(config.naming_pattern)
+def _file_name_items(cf: ClassifiedFile, run: _Run):
+    """T11: file names match the naming pattern and the extension allowlist."""
+    config = run.config
+    name = cf.basename
+    problems = []
+    if not re.fullmatch(config.naming_pattern, name):
+        problems.append(f"name does not match pattern {config.naming_pattern}")
+    ext = name.rsplit(".", 1)[-1].lower() if "." in name else ""
+    if ext not in config.allowed_extensions:
+        shown = ext or "(none)"
+        problems.append(f"extension {shown} not in the allowlist")
+    if problems:
+        return [CheckItem(path=cf.path, verdict="invalid", detail="; ".join(problems))]
+    return [CheckItem(path=cf.path, verdict="valid")]
 
-    t11_items: list[CheckItem] = []
-    t13_items: list[CheckItem] = []
+
+def _code_exists_items(snapshot: RepoSnapshot, run: _Run):
+    """T12: every directory of distribution data has a populated code directory."""
     code_expectations: dict[str, str] = {}
-
     for cf in snapshot.files:
-        name = cf.basename
-        if t11_settings.applies_to(cf.path):
-            problems = []
-            if not pattern.fullmatch(name):
-                problems.append(f"name does not match pattern {config.naming_pattern}")
-            ext = name.rsplit(".", 1)[-1].lower() if "." in name else ""
-            if ext not in config.allowed_extensions:
-                shown = ext or "(none)"
-                problems.append(f"extension {shown} not in the allowlist")
-            if problems:
-                t11_items.append(
-                    CheckItem(path=cf.path, verdict="invalid", detail="; ".join(problems))
-                )
-            else:
-                t11_items.append(CheckItem(path=cf.path, verdict="valid"))
-
-        if t13_settings.applies_to(cf.path):
-            if len(name) <= config.filename_limit:
-                t13_items.append(CheckItem(path=cf.path, verdict="valid"))
-            else:
-                t13_items.append(
-                    CheckItem(
-                        path=cf.path,
-                        verdict="invalid",
-                        detail=(
-                            f"file name is {len(name)} characters;"
-                            f" limit is {config.filename_limit}"
-                        ),
-                    )
-                )
-
         if (
             cf.in_distribution
             and cf.kind in ("tabular_data", "layer_data")
@@ -653,47 +515,92 @@ def check_file_conventions(
             code_expectations.setdefault(_dir_of(cf.path), cf.sibling_code_dir)
 
     dirs_with_files = {_dir_of(cf.path) for cf in snapshot.files}
-    t12_items: list[CheckItem] = []
     for data_dir in sorted(code_expectations):
-        if not t12_settings.applies_to(data_dir):
-            continue
         code_dir = code_expectations[data_dir]
         populated = any(d == code_dir or d.startswith(code_dir + "/") for d in dirs_with_files)
         if populated:
-            t12_items.append(CheckItem(path=data_dir, verdict="valid"))
+            yield CheckItem(path=data_dir, verdict="valid")
         else:
-            t12_items.append(
-                CheckItem(
-                    path=data_dir,
-                    verdict="invalid",
-                    detail=f"distribution data present but {code_dir}/ is absent or empty",
-                )
+            yield CheckItem(
+                path=data_dir,
+                verdict="invalid",
+                detail=f"distribution data present but {code_dir}/ is absent or empty",
             )
 
-    return (
-        CheckReport(check=check_id("T11"), items=tuple(t11_items)),
-        CheckReport(check=check_id("T12"), items=tuple(t12_items)),
-        CheckReport(check=check_id("T13"), items=tuple(t13_items)),
-    )
+
+def _file_name_length_items(cf: ClassifiedFile, run: _Run):
+    """T13: file names stay within the length limit."""
+    limit = run.config.filename_limit
+    name = cf.basename
+    if len(name) <= limit:
+        return [CheckItem(path=cf.path, verdict="valid")]
+    return [
+        CheckItem(
+            path=cf.path,
+            verdict="invalid",
+            detail=f"file name is {len(name)} characters; limit is {limit}",
+        )
+    ]
 
 
 # ---------------------------------------------------------------- T8
 
 
-def check_json_valid(snapshot: RepoSnapshot, config: RepoConfig | None = None) -> CheckReport:
+def _json_items(snapshot: RepoSnapshot, run: _Run):
     """T8: every JSON-bearing file parses as JSON."""
-    config = config or default_config()
-    settings = config.check_settings("T8")
-    items: list[CheckItem] = []
     for path in sorted(snapshot.json_syntax):
-        if not settings.applies_to(path):
-            continue
         message = snapshot.json_syntax[path]
         if message is None:
-            items.append(CheckItem(path=path, verdict="valid"))
+            yield CheckItem(path=path, verdict="valid")
         else:
-            items.append(CheckItem(path=path, verdict="invalid", detail=message))
-    return CheckReport(check=check_id("T8"), items=tuple(items))
+            yield CheckItem(path=path, verdict="invalid", detail=message)
+
+
+# ---------------------------------------------------------------- registry
+
+CHECKS: tuple[Check, ...] = (
+    Check("T2", "test_percent_data", "table", _percent_items),
+    Check("T3", "test_measure_info_structure", "info", _allowed_key_items),
+    Check("T4", "test_measure_type", "table", _measure_type_items),
+    Check("T5", "test_measure_info_missing_measures", "repo", _missing_measure_items),
+    Check("T6", "test_columns", "table", _column_items),
+    Check("T7", "test_measure_info_keys", "info", _expected_key_items),
+    Check("T8", "test_jsons", "repo", _json_items),
+    Check("T9", "test_region_type", "table", _region_type_items),
+    Check("T10", "test_known_measures", "table", _known_measure_items),
+    Check("T11", "test_file_name", "file", _file_name_items),
+    Check("T12", "test_code_exists", "repo", _code_exists_items),
+    Check("T13", "test_file_name_len", "file", _file_name_length_items),
+    Check("T14", "test_measure_info_extra_measures", "info", _extra_measure_items),
+)
+
+CHECK_NAMES: dict[str, str] = {check.id: check.name for check in CHECKS}
+CHECK_ORDER: tuple[str, ...] = tuple(CHECK_NAMES)
+
+# subject → (the snapshot field it iterates, the noun of its parse-failure item)
+_SUBJECTS = {
+    "table": ("data_tables", "table"),
+    "info": ("measure_info_files", "file"),
+    "file": ("files", None),
+}
+
+
+def _run_check(check: Check, run: _Run) -> CheckReport:
+    settings = run.config.check_settings(check.id)
+    if check.subject == "repo":
+        items = [i for i in check.visit(run.snapshot, run) if settings.applies_to(i.path)]
+        return CheckReport(check=check, items=tuple(items))
+    attr, noun = _SUBJECTS[check.subject]
+    items = []
+    for subject in getattr(run.snapshot, attr):
+        if not settings.applies_to(subject.path):
+            continue
+        if isinstance(subject, ParseFailure):
+            detail = f"{noun} could not be parsed: {subject.message}"
+            items.append(CheckItem(path=subject.path, verdict="error", detail=detail))
+        else:
+            items.extend(check.visit(subject, run))
+    return CheckReport(check=check, items=tuple(items))
 
 
 # ---------------------------------------------------------------- suite
@@ -721,44 +628,20 @@ def run_suite(
                 f"unknown check id(s) selected: {', '.join(unknown)}"
                 f" (known: {', '.join(CHECK_ORDER)})"
             )
-        wanted = set(selected)
-    else:
-        wanted = set(CHECK_NAMES)
-
-    produced: dict[str, CheckReport] = {}
-    if "T2" in wanted:
-        produced["T2"] = check_percent_range(snapshot, config)
-    if wanted & {"T3", "T7"}:
-        produced["T3"], produced["T7"] = check_info_structure(snapshot, config)
-    if wanted & {"T5", "T14"}:
-        produced["T5"], produced["T14"] = cross_check_measures(snapshot, config)
-    if wanted & {"T4", "T6", "T9", "T10"}:
-        (
-            produced["T4"],
-            produced["T6"],
-            produced["T9"],
-            produced["T10"],
-        ) = check_tabular_conventions(snapshot, config)
-    if wanted & {"T11", "T12", "T13"}:
-        (
-            produced["T11"],
-            produced["T12"],
-            produced["T13"],
-        ) = check_file_conventions(snapshot, config)
-    if "T8" in wanted:
-        produced["T8"] = check_json_valid(snapshot, config)
-
-    reports = tuple(produced[cid] for cid in CHECK_ORDER if cid in wanted)
+    run = _Run(snapshot, config)
+    reports = tuple(
+        _run_check(check, run)
+        for check in CHECKS
+        if selected is None or check.id in selected
+    )
     enforcement = {}
-    for cid in CHECK_ORDER:
-        if cid not in wanted:
-            continue
-        tier = config.enforcement(cid)
+    for report in reports:
+        tier = config.enforcement(report.check.id)
         if dev and tier == "enforced":
             tier = "warn"
         elif strict and tier == "warn":
             tier = "enforced"
-        enforcement[cid] = tier
+        enforcement[report.check.id] = tier
     overall = all(
         report.passed
         for report in reports

@@ -180,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     except CommonsLintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -65,7 +65,6 @@ class RepoConfig:
     filename_limit: int = 100
     fraction_min_rows: int = 3
     ignore_dirs: frozenset[str] = frozenset({".git"})
-    json_extensions: frozenset[str] = frozenset({"json", "geojson"})
     checks: dict[str, CheckSettings] = field(default_factory=dict)
 
     def check_settings(self, check_id: str) -> CheckSettings:

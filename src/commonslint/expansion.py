@@ -35,11 +35,6 @@ class AxisSpec:
     overrides: Mapping[str, str] = field(default_factory=dict)
 
 
-# Named aliases for the two axes; structurally identical.
-CategorySpec = AxisSpec
-VariantSpec = AxisSpec
-
-
 def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
     """Normalize an on-disk axis value into AxisSpecs.
 

@@ -21,7 +21,7 @@ from .checks import VERDICTS, SuiteReport, format_percentage
 from .errors import ExpansionError
 from .expansion import expand_dynamic
 from .fair import FairReport, AREAS, LEVELS, LEVEL_LABELS
-from .metadata import MeasureEntry, MeasureInfoFile, resolve_citations
+from .metadata import MeasureEntry
 from .scanner import RepoSnapshot
 
 _STYLE = """\
@@ -265,13 +265,13 @@ def _render_sources(entry: MeasureEntry) -> str:
     return "  <h2>Sources</h2>\n  <ul>\n" + "".join(rows) + "  </ul>\n"
 
 
-def _render_citations(entry: MeasureEntry, resolutions: dict[tuple[str, str], bool]) -> str:
+def _render_citations(entry: MeasureEntry, references: frozenset[str]) -> str:
     keys = entry.citations
     if not keys:
         return ""
     rows = []
     for key in keys:
-        if resolutions.get((entry.measure_id, key), False):
+        if key in references:
             rows.append(f"    <li>{escape(key)}</li>\n")
         else:
             rows.append(
@@ -284,7 +284,7 @@ def _render_citations(entry: MeasureEntry, resolutions: dict[tuple[str, str], bo
 def _measure_page(
     entry: MeasureEntry,
     source_path: str,
-    resolutions: dict[tuple[str, str], bool],
+    references: frozenset[str],
     note: str | None,
     timestamp: str | None,
 ) -> str:
@@ -306,7 +306,7 @@ def _measure_page(
         f"{note_html}"
         "  <table>\n" + "".join(rows) + "  </table>\n"
         f"{_render_sources(entry)}"
-        f"{_render_citations(entry, resolutions)}"
+        f"{_render_citations(entry, references)}"
         '  <p><a href="../index.html">All measures</a></p>\n'
     )
     return _page(title, body, timestamp)
@@ -319,10 +319,12 @@ def render_dictionary(
     out = Path(outdir)
     timestamp = datetime.now(timezone.utc).isoformat() if include_timestamp else None
 
-    # Expand every parsed measure_info; expansion failures keep the raw
-    # entry, marked on its page.
-    rendered: list[tuple[MeasureEntry, str, str | None, MeasureInfoFile]] = []
+    # Expand every parsed measure_info once; expansion failures keep the raw
+    # entry, marked on its page. Citations resolve against the reference
+    # ids of the file that defines the entry.
+    rendered: list[tuple[MeasureEntry, str, str | None, frozenset[str]]] = []
     for info in snapshot.parsed_measure_infos:
+        references = info.reference_ids()
         for entry in info:
             try:
                 concrete = expand_dynamic(entry)
@@ -331,28 +333,14 @@ def render_dictionary(
                 concrete = [entry]
                 note = f"dynamic entry could not be expanded: {exc}"
             for expanded in concrete:
-                rendered.append((expanded, info.path, note, info))
+                rendered.append((expanded, info.path, note, references))
 
     rendered.sort(key=lambda item: item[0].measure_id)
-
-    resolutions: dict[tuple[str, str], bool] = {}
-    for info in snapshot.parsed_measure_infos:
-        expanded_info = MeasureInfoFile(
-            path=info.path,
-            entries={
-                e.measure_id: e
-                for entry in info
-                for e in _safe_expand(entry)
-            },
-            references=info.references,
-        )
-        for res in resolve_citations(expanded_info):
-            resolutions[(res.measure_id, res.key)] = res.resolved
 
     pages: list[DictionaryPage] = []
     used: set[str] = set()
     by_category: dict[str, list[tuple[str, str]]] = {}
-    for entry, source_path, note, _info in rendered:
+    for entry, source_path, note, references in rendered:
         base = _slug(entry.measure_id)
         filename = f"measures/{base}.html"
         serial = 1
@@ -366,7 +354,7 @@ def render_dictionary(
         )
         by_category.setdefault(category, []).append((entry.measure_id, filename))
         _atomic_write(
-            out / filename, _measure_page(entry, source_path, resolutions, note, timestamp)
+            out / filename, _measure_page(entry, source_path, references, note, timestamp)
         )
 
     category_files: list[str] = []
@@ -408,13 +396,6 @@ def render_dictionary(
         measure_pages=tuple(pages),
         category_files=tuple(category_files),
     )
-
-
-def _safe_expand(entry: MeasureEntry) -> list[MeasureEntry]:
-    try:
-        return expand_dynamic(entry)
-    except ExpansionError:
-        return [entry]
 
 
 # ---------------------------------------------------------------- FAIR

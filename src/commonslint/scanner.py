@@ -23,10 +23,10 @@ from .config import RepoConfig, default_config
 from .errors import ParseError
 from .metadata import MeasureInfoFile, parse_measure_info
 
-KINDS = ("measure_info", "tabular_data", "layer_data", "code", "other")
-
 _TABULAR_EXTENSIONS = {".csv"}
 _COMPRESSION_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
+# Extensions of the non-metadata files that get a JSON syntax verdict (T8).
+_JSON_EXTENSIONS = frozenset({"json", "geojson"})
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,6 @@ class RepoSnapshot:
     data_tables: tuple[DataTable | ParseFailure, ...]
     json_syntax: dict[str, str | None] = field(default_factory=dict)
     scan_timestamp: str = ""
-
-    def files_of_kind(self, kind: str) -> list[ClassifiedFile]:
-        return [f for f in self.files if f.kind == kind]
 
     @property
     def parsed_measure_infos(self) -> list[MeasureInfoFile]:
@@ -221,7 +218,7 @@ def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapsho
 
     for cf in files:
         full = root_path / cf.path
-        is_jsonish = cf.path.rsplit(".", 1)[-1].lower() in config.json_extensions
+        is_jsonish = cf.path.rsplit(".", 1)[-1].lower() in _JSON_EXTENSIONS
 
         if cf.kind == "measure_info":
             try:

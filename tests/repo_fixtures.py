@@ -12,6 +12,8 @@ import csv
 import json
 from pathlib import Path
 
+from commonslint.checks import run_suite
+
 # Sentinel for "remove this key" in clean_entry overrides.
 ABSENT = object()
 
@@ -282,3 +284,9 @@ def flagged_items(report) -> set[tuple]:
         for item in report.items
         if item.verdict not in ("valid", "skipped")
     }
+
+
+def reports_for(snapshot, config, *cids: str) -> tuple:
+    """The reports of the named checks, in the order named, from one suite run."""
+    suite = run_suite(snapshot, config, set(cids))
+    return tuple(suite.report_for(cid) for cid in cids)

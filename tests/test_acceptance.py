@@ -17,9 +17,6 @@ from pathlib import Path
 
 from commonslint.checks import (
     CHECK_ORDER,
-    check_file_conventions,
-    check_percent_range,
-    cross_check_measures,
     format_percentage,
     run_suite,
 )
@@ -35,7 +32,7 @@ from commonslint.fair import (
 from commonslint.metadata import parse_measure_info, serialize_measure_info
 from commonslint.scanner import scan_repo
 from commonslint.schema import check_char_limits, default_schema
-from repo_fixtures import build_planted_repo, clean_entry, flagged_items, write_info
+from repo_fixtures import build_planted_repo, clean_entry, flagged_items, reports_for, write_info
 
 CONFIG = default_config()
 
@@ -230,7 +227,7 @@ def test_criterion_6_char_limit_boundaries(tmp_path):
 
     (tmp_path / ("a" * 96 + ".txt")).write_text("x", encoding="utf-8")  # 100 chars
     (tmp_path / ("b" * 97 + ".txt")).write_text("x", encoding="utf-8")  # 101 chars
-    _, _, t13 = check_file_conventions(scan_repo(tmp_path, CONFIG), CONFIG)
+    (t13,) = reports_for(scan_repo(tmp_path, CONFIG), CONFIG, "T13")
     t13_verdicts = {i.path: i.verdict for i in t13.items}
     t13_ok = (
         t13_verdicts["a" * 96 + ".txt"] == "valid"
@@ -418,8 +415,7 @@ def test_criterion_9_oracle_equivalence(tmp_path):
         _generate_fixture(root, rng)
 
         snapshot = scan_repo(root, CONFIG)
-        t2 = check_percent_range(snapshot, CONFIG)
-        t5, t14 = cross_check_measures(snapshot, CONFIG)
+        t2, t5, t14 = reports_for(snapshot, CONFIG, "T2", "T5", "T14")
         want_t2, want_t5, want_t14 = _oracle(root, CONFIG.fraction_min_rows)
 
         got = {

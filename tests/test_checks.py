@@ -10,23 +10,20 @@ from commonslint.checks import (
     CHECK_NAMES,
     CHECK_ORDER,
     CheckItem,
-    check_file_conventions,
-    check_info_structure,
-    check_json_valid,
-    check_percent_range,
-    check_tabular_conventions,
-    cross_check_measures,
     format_percentage,
     run_suite,
 )
+from commonslint.cli import main
 from commonslint.config import default_config, parse_config
-from commonslint.errors import ConfigError, DomainError
+from commonslint.errors import ConfigError, DomainError, ExpansionError
+from commonslint.expansion import expand_file
 from commonslint.scanner import scan_repo
 from repo_fixtures import (
     ABSENT,
     LONG_NAME_101,
     clean_entry,
     flagged_items,
+    reports_for,
     write_info,
     write_table,
 )
@@ -46,8 +43,21 @@ def test_catalog_names_frozen():
         "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11", "T12", "T13", "T14",
     )
     assert "T1" not in CHECK_NAMES  # the catalog gap is deliberate
-    assert CHECK_NAMES["T2"] == "test_percent_data"
-    assert CHECK_NAMES["T14"] == "test_measure_info_extra_measures"
+    assert CHECK_NAMES == {
+        "T2": "test_percent_data",
+        "T3": "test_measure_info_structure",
+        "T4": "test_measure_type",
+        "T5": "test_measure_info_missing_measures",
+        "T6": "test_columns",
+        "T7": "test_measure_info_keys",
+        "T8": "test_jsons",
+        "T9": "test_region_type",
+        "T10": "test_known_measures",
+        "T11": "test_file_name",
+        "T12": "test_code_exists",
+        "T13": "test_file_name_len",
+        "T14": "test_measure_info_extra_measures",
+    }
 
 
 def test_check_item_closed_vocabulary():
@@ -97,14 +107,14 @@ def test_t2_boundaries_inclusive(tmp_path):
             ("04", "2021", "m", "100.0", "percent", "county"),
         ],
     )
-    report = check_percent_range(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     (item,) = report.items
     assert item.verdict == "valid"
 
 
 def test_t2_out_of_range(tmp_path):
     write_table(tmp_path / "t.csv", [("01", "2021", "m", "104.2", "percent", "county")])
-    report = check_percent_range(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     (item,) = report.items
     assert item.verdict == "invalid"
     assert "104.2" in item.detail
@@ -119,7 +129,7 @@ def test_t2_suspected_fraction(tmp_path):
             ("03", "2021", "m", "0.88", "percent", "county"),
         ],
     )
-    report = check_percent_range(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     (item,) = report.items
     assert item.verdict == "invalid"
     assert "0-1 fraction" in item.detail
@@ -130,11 +140,11 @@ def test_t2_fraction_needs_min_rows(tmp_path):
         tmp_path / "t.csv",
         [("01", "2021", "m", "0.5", "percent", "county"), ("02", "2021", "m", "0.7", "percent", "county")],
     )
-    report = check_percent_range(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     assert report.items[0].verdict == "valid"
     # Lowering the threshold flips the same data to invalid.
     lax = parse_config({"fraction_min_rows": 2})
-    report = check_percent_range(snapshot_of(tmp_path), lax)
+    (report,) = reports_for(snapshot_of(tmp_path), lax, "T2")
     assert report.items[0].verdict == "invalid"
 
 
@@ -147,14 +157,15 @@ def test_t2_non_numeric_is_error_blank_is_ignored(tmp_path):
             ("02", "2021", "ok", "50.0", "percent", "county"),
         ],
     )
-    report = check_percent_range(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     verdicts = {item.key: item.verdict for item in report.items}
     assert verdicts == {"m": "error", "ok": "valid"}
 
 
 def test_t2_ignores_non_percent_measures(tmp_path):
     write_table(tmp_path / "t.csv", [("01", "2021", "m", "5000", "count", "county")])
-    assert check_percent_range(snapshot_of(tmp_path), CONFIG).total == 0
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
+    assert report.total == 0
 
 
 # ---------------------------------------------------------------- T3 / T7
@@ -162,7 +173,7 @@ def test_t2_ignores_non_percent_measures(tmp_path):
 
 def test_t3_t7_clean_entry(tmp_path):
     write_info(tmp_path / "measure_info.json", {"m": clean_entry("m")})
-    t3, t7 = check_info_structure(snapshot_of(tmp_path), CONFIG)
+    t3, t7 = reports_for(snapshot_of(tmp_path), CONFIG, "T3", "T7")
     assert [i.verdict for i in t3.items] == ["valid"]
     assert [i.verdict for i in t7.items] == ["valid"]
 
@@ -175,7 +186,7 @@ def test_t3_flags_disallowed_key_t7_flags_absent_and_blank(tmp_path):
             "sparse": clean_entry("sparse", short_name=ABSENT, unit=""),
         },
     )
-    t3, t7 = check_info_structure(snapshot_of(tmp_path), CONFIG)
+    t3, t7 = reports_for(snapshot_of(tmp_path), CONFIG, "T3", "T7")
     t3_bad = {i.key: i for i in t3.items if i.verdict != "valid"}
     assert set(t3_bad) == {"bad_key"}
     assert "colour_scheme" in t3_bad["bad_key"].detail
@@ -194,21 +205,21 @@ def test_t3_reserved_structures_allowed(tmp_path):
         },
         references={"lou04": {"title": "T"}},
     )
-    t3, _ = check_info_structure(snapshot_of(tmp_path), CONFIG)
+    (t3,) = reports_for(snapshot_of(tmp_path), CONFIG, "T3")
     assert all(i.verdict == "valid" for i in t3.items)
     assert {i.key for i in t3.items} == {"dyn_{category}_{variant}", "_references"}
 
 
 def test_t3_flags_empty_reference(tmp_path):
     write_info(tmp_path / "measure_info.json", {"m": clean_entry("m")}, references={"r1": {}})
-    t3, _ = check_info_structure(snapshot_of(tmp_path), CONFIG)
+    (t3,) = reports_for(snapshot_of(tmp_path), CONFIG, "T3")
     ref_item = next(i for i in t3.items if i.key == "_references")
     assert ref_item.verdict == "invalid"
 
 
 def test_t3_t7_unparseable_file_is_error(tmp_path):
     (tmp_path / "measure_info.json").write_text('{"m":', encoding="utf-8")
-    t3, t7 = check_info_structure(snapshot_of(tmp_path), CONFIG)
+    t3, t7 = reports_for(snapshot_of(tmp_path), CONFIG, "T3", "T7")
     assert [i.verdict for i in t3.items] == ["error"]
     assert [i.verdict for i in t7.items] == ["error"]
 
@@ -229,21 +240,21 @@ def _paired_repo(tmp_path, info_ids, data_ids):
 
 def test_t5_t14_agreement(tmp_path):
     _paired_repo(tmp_path, ["a", "b"], ["a", "b"])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert all(i.verdict == "valid" for i in t5.items)
     assert all(i.verdict == "valid" for i in t14.items)
 
 
 def test_t5_missing_measure(tmp_path):
     _paired_repo(tmp_path, ["a"], ["a", "b"])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert flagged_items(t5) == {("data/distribution/t.csv", "b", "missing")}
     assert flagged_items(t14) == set()
 
 
 def test_t14_extra_measure(tmp_path):
     _paired_repo(tmp_path, ["a", "a_old"], ["a"])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert flagged_items(t5) == set()
     assert flagged_items(t14) == {
         ("data/distribution/measure_info.json", "a_old", "extra")
@@ -252,7 +263,7 @@ def test_t14_extra_measure(tmp_path):
 
 def test_t5_unpaired_table_distinct_verdict_class(tmp_path):
     write_table(tmp_path / "loose.csv", [("01", "2021", "m", "1.0", "percent", "county")])
-    t5, _ = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    (t5,) = reports_for(snapshot_of(tmp_path), CONFIG, "T5")
     (item,) = t5.items
     assert item.verdict == "invalid"
     assert "no measure_info" in item.detail
@@ -263,7 +274,7 @@ def test_t5_pairs_with_nearest_ancestor(tmp_path):
     write_info(tmp_path / "measure_info.json", {"m_root": clean_entry("m_root")})
     write_info(tmp_path / "nested" / "measure_info.json", {"m_near": clean_entry("m_near")})
     write_table(tmp_path / "nested" / "t.csv", [("01", "2021", "m_root", "5", "count", "county")])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert flagged_items(t5) == {("nested/t.csv", "m_root", "missing")}
     # m_root is extra for the root file (no tables pair with it), m_near for its own.
     assert ("measure_info.json", "m_root", "extra") in flagged_items(t14)
@@ -275,7 +286,7 @@ def test_ambiguous_pairing_is_an_error(tmp_path):
     write_info(tmp_path / "measure_info.json", {"a": clean_entry("a")})
     write_info(tmp_path / "measure_info_v2.json", {"a": clean_entry("a")})
     write_table(tmp_path / "t.csv", [("01", "2021", "a", "5", "count", "county")])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path, config), config)
+    t5, t14 = reports_for(snapshot_of(tmp_path, config), config, "T5", "T14")
     assert [i.verdict for i in t5.items] == ["error"]
     assert all(i.verdict == "error" for i in t14.items)
     assert t14.total == 2
@@ -284,7 +295,7 @@ def test_ambiguous_pairing_is_an_error(tmp_path):
 def test_broken_info_gives_errors_on_both_sides(tmp_path):
     (tmp_path / "measure_info.json").write_text("{bad json", encoding="utf-8")
     write_table(tmp_path / "t.csv", [("01", "2021", "a", "5", "count", "county")])
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert [i.verdict for i in t5.items] == ["error"]
     assert [i.verdict for i in t14.items] == ["error"]
 
@@ -301,7 +312,7 @@ def test_t5_t14_use_expanded_ids(tmp_path):
             ("01", "2021", "m_median", "6", "count", "county"),
         ],
     )
-    t5, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    t5, t14 = reports_for(snapshot_of(tmp_path), CONFIG, "T5", "T14")
     assert all(i.verdict == "valid" for i in t5.items)
     assert {i.key for i in t14.items} == {"m_mean", "m_median"}
     assert all(i.verdict == "valid" for i in t14.items)
@@ -313,10 +324,56 @@ def test_unexpandable_dynamic_entry_is_error_not_crash(tmp_path):
         {"fixed_id": clean_entry("fixed_id", categories=["a", "b"])},
     )
     write_table(tmp_path / "t.csv", [("01", "2021", "fixed_id", "5", "count", "county")])
-    _, t14 = cross_check_measures(snapshot_of(tmp_path), CONFIG)
+    (t14,) = reports_for(snapshot_of(tmp_path), CONFIG, "T14")
     (item,) = t14.items
     assert item.verdict == "error"
     assert item.key == "fixed_id"
+
+
+@pytest.mark.parametrize(
+    ("order", "failed_key"),
+    [(["bb_{category}", "bb_a"], "bb_a"), (["bb_a", "bb_{category}"], "bb_{category}")],
+)
+def test_expansion_collision_is_error_as_in_expand(tmp_path, order, failed_key):
+    # The later of two entries whose ids collide after expansion fails, with
+    # the message ``expand`` stops on.
+    entries = {
+        "bb_{category}": clean_entry("bb", categories=["a", "b"]),
+        "bb_a": clean_entry("bb_a"),
+    }
+    path = tmp_path / "measure_info.json"
+    path.write_text(json.dumps({mid: entries[mid] for mid in order}), encoding="utf-8")
+    write_table(
+        tmp_path / "t.csv",
+        [
+            ("01", "2021", "bb_a", "5", "count", "county"),
+            ("01", "2021", "bb_b", "6", "count", "county"),
+        ],
+    )
+    snapshot = snapshot_of(tmp_path)
+    suite = run_suite(snapshot, CONFIG)
+    assert [r.check.id for r in suite.reports if not r.passed] == ["T14"]
+    assert not suite.overall_pass
+    t14 = suite.report_for("T14")
+    assert flagged_items(t14) == {("measure_info.json", failed_key, "error")}
+    (error,) = [i for i in t14.items if i.verdict == "error"]
+    with pytest.raises(ExpansionError) as raised:
+        expand_file(snapshot.parsed_measure_infos[0])
+    assert str(raised.value) == "expanded id 'bb_a' collides with an existing entry"
+    assert str(raised.value) in error.detail
+
+
+def test_check_survives_a_paired_table_that_fails_to_parse(tmp_path, capsys):
+    dist = tmp_path / "repo" / "d0" / "data" / "distribution"
+    dist.mkdir(parents=True)
+    (dist / "measure_info.json").write_text('{"m": {"measure_type": "count"}}\n', encoding="utf-8")
+    (dist / "m.csv").write_text(
+        "geoid,year,measure,value,measure_type\n1,2021,m,3,count,x\n", encoding="utf-8"
+    )
+    code = main(["check", "--repo", str(tmp_path / "repo"), "--out", str(tmp_path / "out")])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 1
+    assert (tmp_path / "out" / "suite.json").is_file()
 
 
 # ---------------------------------------------------------------- T4 / T6 / T9 / T10
@@ -330,7 +387,7 @@ def test_t4_t9_vocabularies(tmp_path):
             ("01", "2021", "m2", "2", "bogus_type", "galaxy"),
         ],
     )
-    t4, _, t9, _ = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    t4, t9 = reports_for(snapshot_of(tmp_path), CONFIG, "T4", "T9")
     assert flagged_items(t4) == {("t.csv", "bogus_type", "invalid")}
     assert flagged_items(t9) == {("t.csv", "galaxy", "invalid")}
 
@@ -341,7 +398,7 @@ def test_t6_missing_and_unexpected_columns(tmp_path):
         [("2021", "m", "1", "percent", "surprise")],
         columns=("year", "measure", "value", "measure_type", "wildcard"),
     )
-    _, t6, _, _ = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    (t6,) = reports_for(snapshot_of(tmp_path), CONFIG, "T6")
     (item,) = t6.items
     assert item.verdict == "invalid"
     assert "missing columns: geoid" in item.detail
@@ -354,7 +411,7 @@ def test_t6_optional_columns_allowed(tmp_path):
         [("01", "2021", "m", "1", "count", "county", "Albemarle")],
         columns=("geoid", "year", "measure", "value", "measure_type", "region_type", "region_name"),
     )
-    _, t6, _, _ = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    (t6,) = reports_for(snapshot_of(tmp_path), CONFIG, "T6")
     assert [i.verdict for i in t6.items] == ["valid"]
 
 
@@ -364,13 +421,13 @@ def test_t9_vacuous_without_region_type_column(tmp_path):
         [("01", "2021", "m", "1", "count")],
         columns=("geoid", "year", "measure", "value", "measure_type"),
     )
-    _, _, t9, _ = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    (t9,) = reports_for(snapshot_of(tmp_path), CONFIG, "T9")
     assert t9.total == 0
 
 
 def test_t10_skipped_without_known_list(tmp_path):
     write_table(tmp_path / "t.csv", [("01", "2021", "m", "1", "count", "county")])
-    _, _, _, t10 = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    (t10,) = reports_for(snapshot_of(tmp_path), CONFIG, "T10")
     assert [i.verdict for i in t10.items] == ["skipped"]
 
 
@@ -380,13 +437,13 @@ def test_t10_with_known_list(tmp_path):
         tmp_path / "t.csv",
         [("01", "2021", "m", "1", "count", "county"), ("01", "2021", "rogue", "1", "count", "county")],
     )
-    _, _, _, t10 = check_tabular_conventions(snapshot_of(tmp_path), config)
+    (t10,) = reports_for(snapshot_of(tmp_path), config, "T10")
     assert flagged_items(t10) == {("t.csv", "rogue", "invalid")}
 
 
 def test_unparseable_table_is_error_in_all_four(tmp_path):
     (tmp_path / "ragged.csv").write_text("a,b\n1,2,3\n", encoding="utf-8")
-    reports = check_tabular_conventions(snapshot_of(tmp_path), CONFIG)
+    reports = reports_for(snapshot_of(tmp_path), CONFIG, "T4", "T6", "T9", "T10")
     for report in reports:
         assert [i.verdict for i in report.items] == ["error"]
 
@@ -397,7 +454,7 @@ def test_unparseable_table_is_error_in_all_four(tmp_path):
 def test_t11_naming_violations(tmp_path):
     (tmp_path / "Urgent Care Final.CSV").write_text("a\n", encoding="utf-8")
     (tmp_path / "fine-name.csv").write_text("a\n", encoding="utf-8")
-    t11, _, _ = check_file_conventions(snapshot_of(tmp_path), CONFIG)
+    (t11,) = reports_for(snapshot_of(tmp_path), CONFIG, "T11")
     bad = {i.path: i for i in t11.items if i.verdict == "invalid"}
     assert set(bad) == {"Urgent Care Final.CSV"}
     assert "pattern" in bad["Urgent Care Final.CSV"].detail
@@ -405,7 +462,7 @@ def test_t11_naming_violations(tmp_path):
 
 def test_t11_extension_allowlist(tmp_path):
     (tmp_path / "binary.exe").write_text("x", encoding="utf-8")
-    t11, _, _ = check_file_conventions(snapshot_of(tmp_path), CONFIG)
+    (t11,) = reports_for(snapshot_of(tmp_path), CONFIG, "T11")
     (item,) = [i for i in t11.items if i.verdict == "invalid"]
     assert "allowlist" in item.detail
 
@@ -415,20 +472,20 @@ def test_t12_missing_and_present_code(tmp_path):
         tmp_path / "ds" / "data" / "distribution" / "t.csv",
         [("01", "2021", "m", "1", "count", "county")],
     )
-    t11, t12, _ = check_file_conventions(snapshot_of(tmp_path), CONFIG)
+    t11, t12 = reports_for(snapshot_of(tmp_path), CONFIG, "T11", "T12")
     assert flagged_items(t12) == {("ds/data/distribution", None, "invalid")}
     # Adding a populated code/distribution dir fixes it.
     code = tmp_path / "ds" / "code" / "distribution" / "build.py"
     code.parent.mkdir(parents=True)
     code.write_text("pass\n", encoding="utf-8")
-    _, t12, _ = check_file_conventions(snapshot_of(tmp_path), CONFIG)
+    (t12,) = reports_for(snapshot_of(tmp_path), CONFIG, "T12")
     assert [i.verdict for i in t12.items] == ["valid"]
 
 
 def test_t13_length_boundary(tmp_path):
     (tmp_path / ("b" * 96 + ".txt")).write_text("x", encoding="utf-8")  # exactly 100
     (tmp_path / LONG_NAME_101).write_text("x", encoding="utf-8")  # 101
-    _, _, t13 = check_file_conventions(snapshot_of(tmp_path), CONFIG)
+    (t13,) = reports_for(snapshot_of(tmp_path), CONFIG, "T13")
     verdicts = {i.path: i.verdict for i in t13.items}
     assert verdicts["b" * 96 + ".txt"] == "valid"
     assert verdicts[LONG_NAME_101] == "invalid"
@@ -440,7 +497,7 @@ def test_t13_length_boundary(tmp_path):
 def test_t8_valid_and_invalid_json(tmp_path):
     (tmp_path / "good.json").write_text('{"a": 1}', encoding="utf-8")
     (tmp_path / "bad.json").write_text('{"a": }', encoding="utf-8")
-    report = check_json_valid(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T8")
     verdicts = {i.path: i.verdict for i in report.items}
     assert verdicts == {"good.json": "valid", "bad.json": "invalid"}
     bad = next(i for i in report.items if i.path == "bad.json")
@@ -449,7 +506,7 @@ def test_t8_valid_and_invalid_json(tmp_path):
 
 def test_t8_vacuous_without_json_files(tmp_path):
     (tmp_path / "notes.txt").write_text("hello", encoding="utf-8")
-    report = check_json_valid(snapshot_of(tmp_path), CONFIG)
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T8")
     assert report.total == 0
     assert report.passed
 

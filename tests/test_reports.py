@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from commonslint import checks, reports
 from commonslint.checks import CHECK_NAMES, CHECK_ORDER, VERDICTS, run_suite
 from commonslint.config import default_config
 from commonslint.fair import (
@@ -200,6 +201,42 @@ def test_dictionary_citation_resolution_marker(tmp_path):
     assert "ghost99" in dynamic
     concrete = (tmp_path / "dict" / page_for["no_computer"]).read_text("utf-8")
     assert "[unresolved reference]" not in concrete
+
+
+def test_dictionary_citations_resolve_in_their_own_file(tmp_path):
+    # Both files define m citing k; only a's file defines the reference k.
+    write_info(tmp_path / "a" / "measure_info.json", {"m": clean_entry("m", citations=["k"])},
+               references={"k": {"title": "K"}})
+    write_info(tmp_path / "b" / "measure_info.json", {"m": clean_entry("m", citations=["k"])})
+    site = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
+    marked = {}
+    for page in site.measure_pages:
+        html = (tmp_path / "dict" / page.filename).read_text("utf-8")
+        source = "a" if "<code>a/measure_info.json</code>" in html else "b"
+        marked[source] = "[unresolved reference]" in html
+    assert marked == {"a": False, "b": True}
+
+
+def test_suite_and_dictionary_expand_each_entry_once(planted_repo, tmp_path, monkeypatch):
+    root, _ = planted_repo
+    snapshot = scan_repo(root, CONFIG)
+    expand = checks.expand_dynamic
+    calls = []
+
+    def counting(entry):
+        calls.append(entry)
+        return expand(entry)
+
+    monkeypatch.setattr(checks, "expand_dynamic", counting)
+    monkeypatch.setattr(reports, "expand_dynamic", counting)
+    entries = [entry for info in snapshot.parsed_measure_infos for entry in info]
+    assert len(entries) > 1
+
+    run_suite(snapshot, CONFIG)
+    assert calls == entries
+    calls.clear()
+    render_dictionary(snapshot, tmp_path / "dict")
+    assert calls == entries
 
 
 def test_dictionary_measure_page_fields(tmp_path):
