@@ -21,6 +21,7 @@ frozen; the catalog starts at T2 and the gap is deliberate.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -246,10 +247,14 @@ def _percent_items(table: DataTable, run: _Run) -> list[CheckItem]:
         bad: str | None = None
         for raw in raw_values:
             try:
-                values.append(float(raw))
+                value = float(raw)
             except ValueError:
+                value = math.nan
+            # float() accepts "nan", which is no more a percent than "n/a".
+            if math.isnan(value):
                 bad = raw
                 break
+            values.append(value)
         key = measure or None
         if bad is not None:
             items.append(

@@ -8,6 +8,7 @@ absent config file means "use the defaults".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
@@ -88,10 +89,45 @@ def _as_str_tuple(value, key: str) -> tuple[str, ...]:
     raise ConfigError(f"{key} must be a string or list of strings")
 
 
+def _as_mapping(value, key: str) -> dict:
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return value
+    raise ConfigError(f"{key} must be a mapping with string keys")
+
+
+def _positive_int(value, key: str) -> int:
+    # bool is an int subclass; `filename_limit: yes` is a mistake, not 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _parse_schema(raw) -> SchemaConfig:
+    raw = _as_mapping(raw, "schema")
+    overrides: dict = {}
+    for key in ("allowed_keys", "expected_keys", "statement_placeholders"):
+        if raw.get(key) is not None:
+            overrides[key] = _as_str_tuple(raw[key], f"schema.{key}")
+    if raw.get("vocabularies") is not None:
+        overrides["vocabularies"] = {
+            element: _as_str_tuple(terms, f"schema.vocabularies.{element}")
+            for element, terms in _as_mapping(raw["vocabularies"], "schema.vocabularies").items()
+        }
+    if raw.get("char_limits") is not None:
+        overrides["char_limits"] = {
+            name: _positive_int(limit, f"schema.char_limits.{name}")
+            for name, limit in _as_mapping(raw["char_limits"], "schema.char_limits").items()
+        }
+    return customized_schema(**overrides)
+
+
 def _parse_check_settings(raw: dict, check_id: str) -> CheckSettings:
     if not isinstance(raw, dict):
         raise ConfigError(f"checks.{check_id} must be a mapping")
     tier = raw.get("enforcement", DEFAULT_CHECK_TIERS.get(check_id, "enforced"))
+    if tier is False:
+        # YAML reads an unquoted `off` as false.
+        tier = "off"
     if tier not in ENFORCEMENT_TIERS:
         raise ConfigError(
             f"checks.{check_id}.enforcement must be one of {ENFORCEMENT_TIERS}, got {tier!r}"
@@ -108,27 +144,21 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    schema_raw = raw.get("schema", {})
-    if not isinstance(schema_raw, dict):
-        raise ConfigError("schema must be a mapping")
-    schema = customized_schema(
-        allowed_keys=schema_raw.get("allowed_keys"),
-        expected_keys=schema_raw.get("expected_keys"),
-        vocabularies=schema_raw.get("vocabularies"),
-        char_limits=schema_raw.get("char_limits"),
-        statement_placeholders=schema_raw.get("statement_placeholders"),
-    )
+    schema = _parse_schema(raw.get("schema", {}))
 
     known: frozenset[str] | None = None
     if "known_measures" in raw and raw["known_measures"] is not None:
         known = frozenset(_as_str_tuple(raw["known_measures"], "known_measures"))
     elif "known_measures_file" in raw:
+        if not isinstance(raw["known_measures_file"], str):
+            raise ConfigError("known_measures_file must be a path string")
         listing = Path(raw["known_measures_file"])
         if base_dir is not None and not listing.is_absolute():
             listing = base_dir / listing
         try:
             lines = listing.read_text("utf-8").splitlines()
-        except OSError as exc:
+        # ValueError: a NUL byte in the path, or a file that is not UTF-8.
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read known_measures_file: {exc}") from exc
         known = frozenset(line.strip() for line in lines if line.strip())
 
@@ -142,6 +172,15 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     checks_raw = raw.get("checks", {})
     if not isinstance(checks_raw, dict):
         raise ConfigError("checks must be a mapping")
+    # Imported here because the checks module imports this one.
+    from .checks import CHECK_NAMES, CHECK_ORDER
+
+    unknown = sorted(str(cid) for cid in checks_raw if cid not in CHECK_NAMES)
+    if unknown:
+        raise ConfigError(
+            f"unknown check id(s) under checks: {', '.join(unknown)}"
+            f" (known: {', '.join(CHECK_ORDER)})"
+        )
     checks = {cid: _parse_check_settings(settings, cid) for cid, settings in checks_raw.items()}
 
     kwargs: dict = {"schema": schema, "checks": checks}
@@ -155,14 +194,18 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
         kwargs["optional_columns"] = _as_str_tuple(columns["optional"], "columns.optional")
     if "pattern" in naming:
         kwargs["naming_pattern"] = str(naming["pattern"])
+        try:
+            re.compile(kwargs["naming_pattern"])
+        except re.error as exc:
+            raise ConfigError(f"naming.pattern is not a valid regular expression: {exc}") from exc
     if "extensions" in naming:
         kwargs["allowed_extensions"] = frozenset(
             _as_str_tuple(naming["extensions"], "naming.extensions")
         )
     if "filename_limit" in raw:
-        kwargs["filename_limit"] = int(raw["filename_limit"])
+        kwargs["filename_limit"] = _positive_int(raw["filename_limit"], "filename_limit")
     if "fraction_min_rows" in raw:
-        kwargs["fraction_min_rows"] = int(raw["fraction_min_rows"])
+        kwargs["fraction_min_rows"] = _positive_int(raw["fraction_min_rows"], "fraction_min_rows")
     if "ignore_dirs" in raw:
         kwargs["ignore_dirs"] = frozenset(_as_str_tuple(raw["ignore_dirs"], "ignore_dirs"))
     return RepoConfig(**kwargs)

@@ -1,8 +1,11 @@
-"""Repository scanning: classify files, parse metadata and tabular data.
+"""Repository scanning: walk and classify files, parse them on demand.
 
-Scanning is lenient: parse failures are recorded in the snapshot rather
-than raised, so a single bad file never aborts a suite run. The snapshot
-is immutable and safe to share across concurrently running checks.
+The walk is eager: ``scan_repo`` lists and classifies every file and reads
+none. The parsed views of the snapshot (measure_info files, data tables,
+JSON syntax verdicts) each read their files the first time they are
+accessed and keep the result, so a command reads only the files it uses,
+and each of them once. Parsing is lenient: failures are recorded in the
+view rather than raised, so a single bad file never aborts a suite run.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import io
 import json
 import lzma
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fnmatch import fnmatch
+from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .config import RepoConfig, default_config
@@ -68,18 +72,63 @@ class DataTable:
 
 @dataclass(frozen=True)
 class RepoSnapshot:
-    """Immutable scan of one repository tree.
+    """One repository tree: its classified files, and the views parsed from them.
 
-    Two scans of an unchanged tree are equal in every field except
-    ``scan_timestamp``.
+    ``scan_repo`` fills the fields. Each parsed view reads its files on
+    first access and keeps the result; a file changed after the walk is
+    read as it is at that access. Two scans of an unchanged tree are equal
+    in every field except ``scan_timestamp``, and their views are equal.
     """
 
     root: str
     files: tuple[ClassifiedFile, ...]
-    measure_info_files: tuple[MeasureInfoFile | ParseFailure, ...]
-    data_tables: tuple[DataTable | ParseFailure, ...]
-    json_syntax: dict[str, str | None] = field(default_factory=dict)
     scan_timestamp: str = ""
+
+    def _paths_of_kind(self, kind: str):
+        root = Path(self.root)
+        return ((root / cf.path, cf.path) for cf in self.files if cf.kind == kind)
+
+    @cached_property
+    def measure_info_files(self) -> tuple[MeasureInfoFile | ParseFailure, ...]:
+        """Each measure_info file, parsed, or the failure that stopped its parse."""
+        infos: list[MeasureInfoFile | ParseFailure] = []
+        for full, rel in self._paths_of_kind("measure_info"):
+            try:
+                infos.append(parse_measure_info(full.read_bytes(), path=rel))
+            except ParseError as exc:
+                infos.append(
+                    ParseFailure(
+                        path=rel, message=str(exc), stage=exc.stage, line=exc.line, offset=exc.offset
+                    )
+                )
+        return tuple(infos)
+
+    @cached_property
+    def data_tables(self) -> tuple[DataTable | ParseFailure, ...]:
+        """Each tabular file, parsed, or the failure that stopped its parse."""
+        tables: list[DataTable | ParseFailure] = []
+        for full, rel in self._paths_of_kind("tabular_data"):
+            try:
+                tables.append(parse_data_table(full, rel))
+            except ParseError as exc:
+                tables.append(ParseFailure(path=rel, message=str(exc), stage="csv", line=exc.line))
+        return tuple(tables)
+
+    @cached_property
+    def json_syntax(self) -> dict[str, str | None]:
+        """Syntax verdict per JSON-bearing file: None if it parses, else the error."""
+        info_failures = {
+            m.path: m for m in self.measure_info_files if isinstance(m, ParseFailure)
+        }
+        syntax: dict[str, str | None] = {}
+        for cf in self.files:
+            if cf.kind == "measure_info":
+                failure = info_failures.get(cf.path)
+                # A structural failure is still readable JSON.
+                syntax[cf.path] = failure.message if failure and failure.stage == "json" else None
+            elif cf.path.rsplit(".", 1)[-1].lower() in _JSON_EXTENSIONS:
+                syntax[cf.path] = _json_verdict(Path(self.root) / cf.path)
+        return syntax
 
     @property
     def parsed_measure_infos(self) -> list[MeasureInfoFile]:
@@ -88,6 +137,16 @@ class RepoSnapshot:
     @property
     def parsed_tables(self) -> list[DataTable]:
         return [t for t in self.data_tables if isinstance(t, DataTable)]
+
+
+def _json_verdict(path: Path) -> str | None:
+    try:
+        json.loads(path.read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        return f"{exc.msg} (line {exc.lineno}, offset {exc.pos})"
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"unreadable: {exc}"
+    return None
 
 
 def _strip_compression(name: str) -> str:
@@ -141,7 +200,7 @@ def _open_table(path: Path):
     return open(path, "r", encoding="utf-8-sig", newline="")
 
 
-def parse_data_table(file_path: str | Path, rel_path: str, config: RepoConfig | None = None) -> DataTable:
+def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
     """Parse a tabular file into a DataTable.
 
     Compression suffixes layered over the tabular extension are handled
@@ -190,15 +249,17 @@ def parse_data_table(file_path: str | Path, rel_path: str, config: RepoConfig | 
 
 
 def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapshot:
-    """Walk a repository tree and build its snapshot.
+    """Walk a repository tree, classify its files and return their snapshot.
 
-    Metadata and tabular files are eagerly parsed with failures recorded;
-    JSON-bearing files get a syntax verdict for the readability check.
+    Reads no file contents; the snapshot's parsed views do that on first
+    access. Symlinks that resolve outside the root are left out of the walk,
+    so no later read leaves the tree.
     """
     config = config or default_config()
     root_path = Path(root)
     if not root_path.is_dir():
         raise FileNotFoundError(f"repository root not found: {root_path}")
+    real_root = root_path.resolve()
 
     rel_paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root_path):
@@ -207,60 +268,13 @@ def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapsho
             full = Path(dirpath) / filename
             if not full.is_file():
                 continue
+            if full.is_symlink() and not full.resolve().is_relative_to(real_root):
+                continue
             rel_paths.append(full.relative_to(root_path).as_posix())
     rel_paths.sort()
 
-    files = tuple(classify(rel, config) for rel in rel_paths)
-
-    measure_infos: list[MeasureInfoFile | ParseFailure] = []
-    tables: list[DataTable | ParseFailure] = []
-    json_syntax: dict[str, str | None] = {}
-
-    for cf in files:
-        full = root_path / cf.path
-        is_jsonish = cf.path.rsplit(".", 1)[-1].lower() in _JSON_EXTENSIONS
-
-        if cf.kind == "measure_info":
-            try:
-                measure_infos.append(parse_measure_info(full.read_bytes(), path=cf.path))
-                json_syntax[cf.path] = None
-            except ParseError as exc:
-                measure_infos.append(
-                    ParseFailure(
-                        path=cf.path,
-                        message=str(exc),
-                        stage=exc.stage,
-                        line=exc.line,
-                        offset=exc.offset,
-                    )
-                )
-                # A structural failure is still readable JSON.
-                json_syntax[cf.path] = str(exc) if exc.stage == "json" else None
-            continue
-
-        if cf.kind == "tabular_data":
-            try:
-                tables.append(parse_data_table(full, cf.path, config))
-            except ParseError as exc:
-                tables.append(
-                    ParseFailure(path=cf.path, message=str(exc), stage="csv", line=exc.line)
-                )
-            continue
-
-        if is_jsonish:
-            try:
-                json.loads(full.read_text("utf-8"))
-                json_syntax[cf.path] = None
-            except json.JSONDecodeError as exc:
-                json_syntax[cf.path] = f"{exc.msg} (line {exc.lineno}, offset {exc.pos})"
-            except (OSError, UnicodeDecodeError) as exc:
-                json_syntax[cf.path] = f"unreadable: {exc}"
-
     return RepoSnapshot(
         root=str(root_path),
-        files=files,
-        measure_info_files=tuple(measure_infos),
-        data_tables=tuple(tables),
-        json_syntax=json_syntax,
+        files=tuple(classify(rel, config) for rel in rel_paths),
         scan_timestamp=datetime.now(timezone.utc).isoformat(),
     )

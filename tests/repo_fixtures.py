@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
+from commonslint import scanner
 from commonslint.checks import run_suite
 
 # Sentinel for "remove this key" in clean_entry overrides.
@@ -290,3 +292,23 @@ def reports_for(snapshot, config, *cids: str) -> tuple:
     """The reports of the named checks, in the order named, from one suite run."""
     suite = run_suite(snapshot, config, set(cids))
     return tuple(suite.report_for(cid) for cid in cids)
+
+
+def count_parses(monkeypatch) -> tuple[Counter, Counter]:
+    """Per-path call counts of ``scanner.parse_data_table`` and ``scanner.parse_measure_info``."""
+
+    def count(name: str, path_of) -> Counter:
+        calls: Counter = Counter()
+        original = getattr(scanner, name)
+
+        def counted(*args, **kwargs):
+            calls[path_of(args, kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scanner, name, counted)
+        return calls
+
+    return (
+        count("parse_data_table", lambda args, kwargs: args[1]),
+        count("parse_measure_info", lambda args, kwargs: kwargs["path"]),
+    )

@@ -162,6 +162,21 @@ def test_t2_non_numeric_is_error_blank_is_ignored(tmp_path):
     assert verdicts == {"m": "error", "ok": "valid"}
 
 
+@pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+def test_t2_nan_is_error(tmp_path, nan):
+    write_table(
+        tmp_path / "t.csv",
+        [
+            ("01", "2021", "m", "50.0", "percent", "county"),
+            ("02", "2021", "m", nan, "percent", "county"),
+        ],
+    )
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
+    (item,) = report.items
+    assert item.verdict == "error"
+    assert item.detail == f"non-numeric value {nan!r} for percent measure"
+
+
 def test_t2_ignores_non_percent_measures(tmp_path):
     write_table(tmp_path / "t.csv", [("01", "2021", "m", "5000", "count", "county")])
     (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")

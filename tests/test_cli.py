@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from commonslint.cli import main
 from commonslint.metadata import load_measure_info
-from repo_fixtures import clean_entry, write_info
+from repo_fixtures import clean_entry, count_parses, write_info
 
 CHECKLIST = {
     "F1": "WorkingTowards", "F2": "WorkingTowards", "F3": "Achieving",
@@ -94,6 +95,74 @@ def test_check_tier_shown_per_line(clean_repo, capsys):
     assert "T10 test_known_measures:" in out
     t10_line = next(line for line in out.splitlines() if line.startswith("T10"))
     assert t10_line.endswith("[warn]")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "filename_limit: abc",
+        "fraction_min_rows: [1]",
+        "schema: {vocabularies: [a]}",
+        "checks: {T99: {}}",
+        "checks: {T2: {enforcement: yes}}",
+        'naming: {pattern: "("}',
+    ],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config):
+    (tmp_path / ".commonslint.yml").write_text(config + "\n", encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path), "--no-reports"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_unquoted_off_tier_reads_as_off(tmp_path, capsys):
+    (tmp_path / ".commonslint.yml").write_text("checks: {T13: {enforcement: off}}\n", encoding="utf-8")
+    (tmp_path / ("x" * 120 + ".txt")).write_text("x", encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path), "--no-reports", "--tests", "T13"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0].endswith("[off]")
+
+
+# ---------------------------------------------------------------- reads per command
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    return count_parses(monkeypatch)
+
+
+def _each_once(root, pattern: str) -> Counter:
+    return Counter(p.relative_to(root).as_posix() for p in root.rglob(pattern))
+
+
+def test_full_check_parses_each_file_once(planted_repo, tmp_path, parses, capsys):
+    root, _ = planted_repo
+    tables, infos = parses
+    main(["check", "--repo", str(root), "--out", str(tmp_path / "r")])
+    assert tables == _each_once(root, "*.csv")
+    assert infos == _each_once(root, "measure_info.json")
+    assert len(tables) == 6 and len(infos) == 6
+
+
+def test_dict_reads_metadata_only(planted_repo, tmp_path, parses, capsys):
+    root, _ = planted_repo
+    tables, infos = parses
+    assert main(["dict", "--repo", str(root), "--out", str(tmp_path / "d")]) == 0
+    assert tables == Counter()
+    assert infos == _each_once(root, "measure_info.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan"], ["scan", "--json"], ["check", "--tests", "T11", "--no-reports"]],
+)
+def test_scan_and_file_name_check_parse_nothing(planted_repo, parses, capsys, argv):
+    root, _ = planted_repo
+    main([*argv, "--repo", str(root)])
+    assert parses == (Counter(), Counter())
 
 
 # ---------------------------------------------------------------- scan

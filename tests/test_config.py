@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from commonslint.checks import CHECK_ORDER
 from commonslint.config import (
     CheckSettings,
+    RepoConfig,
     default_config,
     load_config,
     parse_config,
@@ -68,6 +71,32 @@ def test_parse_config_rejects_unknown_tier():
         parse_config({"checks": {"T2": {"enforcement": "maybe"}}})
 
 
+def test_parse_config_reads_yaml_false_tier_as_off():
+    assert parse_config({"checks": {"T4": {"enforcement": False}}}).enforcement("T4") == "off"
+
+
+def test_parse_config_unknown_check_id_lists_the_known_ids():
+    with pytest.raises(ConfigError, match="T99") as info:
+        parse_config({"checks": {"T99": {}}})
+    assert ", ".join(CHECK_ORDER) in str(info.value)
+
+
+def test_parse_config_schema_lists_and_limits():
+    config = parse_config(
+        {
+            "schema": {
+                "allowed_keys": ["long_name", "unit"],
+                "statement_placeholders": ["value"],
+                "char_limits": {"long_name": 20},
+            }
+        }
+    )
+    assert config.schema.allowed_keys == frozenset({"long_name", "unit"})
+    assert config.schema.statement_placeholders == frozenset({"value"})
+    assert config.schema.char_limits["long_name"] == 20
+    assert config.schema.char_limits["short_name"] == 40
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -75,11 +104,76 @@ def test_parse_config_rejects_unknown_tier():
         {"checks": {"T2": "warn"}},
         {"known_measures": {"a": 1}},
         "not a mapping",
+        {"filename_limit": "abc"},
+        {"filename_limit": 0},
+        {"filename_limit": True},
+        {"filename_limit": 12.0},
+        {"fraction_min_rows": [1]},
+        {"fraction_min_rows": False},
+        {"schema": {"vocabularies": ["a"]}},
+        {"schema": {"vocabularies": {"region_type": [1]}}},
+        {"schema": {"allowed_keys": {"a": "b"}}},
+        {"schema": {"expected_keys": [None]}},
+        {"schema": {"statement_placeholders": 3}},
+        {"schema": {"char_limits": {"long_name": "x"}}},
+        {"schema": {"char_limits": {1: 5}}},
+        {"checks": {"T2": {"enforcement": True}}},
+        {"naming": {"pattern": "("}},
+        {"known_measures_file": 5},
+        {"known_measures_file": "a\0b"},
     ],
 )
 def test_parse_config_shape_errors(raw):
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8) | st.integers(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _section(*keys: str):
+    return st.dictionaries(st.sampled_from(keys), _YAML_VALUES, max_size=len(keys)) | _YAML_VALUES
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "schema": _section(
+            "allowed_keys", "expected_keys", "vocabularies", "char_limits", "statement_placeholders"
+        ),
+        "known_measures": _YAML_VALUES,
+        "known_measures_file": _YAML_VALUES,
+        "columns": _section("required", "optional"),
+        "naming": _section("pattern", "extensions"),
+        "checks": st.dictionaries(
+            st.sampled_from(CHECK_ORDER) | _YAML_VALUES.filter(lambda v: v is None or isinstance(v, (str, int))),
+            _section("enforcement", "include", "exclude"),
+            max_size=3,
+        )
+        | _YAML_VALUES,
+        "metadata_filename": _YAML_VALUES,
+        "filename_limit": _YAML_VALUES,
+        "fraction_min_rows": _YAML_VALUES,
+        "ignore_dirs": _YAML_VALUES,
+    },
+)
+
+
+# Random naming.pattern strings may compile with a FutureWarning from re.
+@pytest.mark.filterwarnings("ignore::FutureWarning")
+@settings(deadline=None)
+@given(raw=_CONFIGS)
+def test_parse_config_returns_a_config_or_raises_config_error(raw, tmp_path_factory):
+    try:
+        config = parse_config(raw, base_dir=tmp_path_factory.getbasetemp())
+    except ConfigError:
+        return
+    assert isinstance(config, RepoConfig)
 
 
 def test_known_measures_file(tmp_path):

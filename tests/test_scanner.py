@@ -10,7 +10,7 @@ from commonslint.config import default_config
 from commonslint.errors import ParseError
 from commonslint.metadata import MeasureInfoFile
 from commonslint.scanner import ParseFailure, classify, parse_data_table, scan_repo
-from repo_fixtures import write_table
+from repo_fixtures import count_parses, write_table
 
 
 CONFIG = default_config()
@@ -171,3 +171,37 @@ def test_snapshot_paths_are_sorted_posix(planted_repo):
     assert paths == sorted(paths)
     assert all("\\" not in p for p in paths)
     assert Path(snapshot.root) == root
+
+
+def test_snapshot_views_parse_on_first_access_only(clean_repo, monkeypatch):
+    tables, infos = count_parses(monkeypatch)
+    snapshot = scan_repo(clean_repo, CONFIG)
+    assert not tables and not infos
+    first = snapshot.data_tables
+    assert snapshot.data_tables is first
+    assert tables == {t.path: 1 for t in first} and tables
+    assert not infos
+
+
+def test_scan_leaves_out_symlinks_that_leave_the_root(tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "x.json").write_text("{", encoding="utf-8")
+    (outside / "t.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    root = tmp_path / "repo"
+    dist = root / "d" / "data" / "distribution"
+    dist.mkdir(parents=True)
+    (dist / "real.json").write_text("{}", encoding="utf-8")
+    (dist / "link.json").symlink_to("../../../../outside/x.json")
+    (dist / "abs.csv").symlink_to(outside / "t.csv")
+    (dist / "inside.json").symlink_to("real.json")
+    snapshot = scan_repo(root, CONFIG)
+    assert [f.path for f in snapshot.files] == [
+        "d/data/distribution/inside.json",
+        "d/data/distribution/real.json",
+    ]
+    assert snapshot.json_syntax == {
+        "d/data/distribution/inside.json": None,
+        "d/data/distribution/real.json": None,
+    }
+    assert snapshot.data_tables == ()
