@@ -46,7 +46,6 @@ from .metadata import (
     MeasureInfoFile,
     load_measure_info,
     parse_measure_info,
-    resolve_citations,
     serialize_measure_info,
 )
 from .reports import render_dictionary, render_fair, render_suite
@@ -114,7 +113,6 @@ __all__ = [
     "render_fair",
     "render_statement",
     "render_suite",
-    "resolve_citations",
     "run_suite",
     "scan_repo",
     "score_assessment",

@@ -3,7 +3,8 @@
 One YAML file per repository (default name ``.commonslint.yml`` at the
 repo root) tunes classification patterns, required column sets, check
 enforcement tiers and schema overrides. Everything has a default; an
-absent config file means "use the defaults".
+absent config file means "use the defaults". A key the parser does not
+use is an error, so a typo never passes for a setting.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def _as_mapping(value, key: str) -> dict:
     raise ConfigError(f"{key} must be a mapping with string keys")
 
 
+def _known_keys(raw: dict, known: tuple[str, ...], path: str = "") -> None:
+    """Raise a ConfigError naming each key of ``raw`` that is not in ``known``."""
+    unknown = [f"{path}{key}" for key in raw if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+        )
+
+
 def _positive_int(value, key: str) -> int:
     # bool is an int subclass; `filename_limit: yes` is a mistake, not 1.
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -104,8 +114,9 @@ def _positive_int(value, key: str) -> int:
 
 def _parse_schema(raw) -> SchemaConfig:
     raw = _as_mapping(raw, "schema")
+    _known_keys(raw, ("allowed_keys", "expected_keys", "vocabularies"), "schema.")
     overrides: dict = {}
-    for key in ("allowed_keys", "expected_keys", "statement_placeholders"):
+    for key in ("allowed_keys", "expected_keys"):
         if raw.get(key) is not None:
             overrides[key] = _as_str_tuple(raw[key], f"schema.{key}")
     if raw.get("vocabularies") is not None:
@@ -113,17 +124,13 @@ def _parse_schema(raw) -> SchemaConfig:
             element: _as_str_tuple(terms, f"schema.vocabularies.{element}")
             for element, terms in _as_mapping(raw["vocabularies"], "schema.vocabularies").items()
         }
-    if raw.get("char_limits") is not None:
-        overrides["char_limits"] = {
-            name: _positive_int(limit, f"schema.char_limits.{name}")
-            for name, limit in _as_mapping(raw["char_limits"], "schema.char_limits").items()
-        }
     return customized_schema(**overrides)
 
 
 def _parse_check_settings(raw: dict, check_id: str) -> CheckSettings:
     if not isinstance(raw, dict):
         raise ConfigError(f"checks.{check_id} must be a mapping")
+    _known_keys(raw, ("enforcement", "include", "exclude"), f"checks.{check_id}.")
     tier = raw.get("enforcement", DEFAULT_CHECK_TIERS.get(check_id, "enforced"))
     if tier is False:
         # YAML reads an unquoted `off` as false.
@@ -137,12 +144,21 @@ def _parse_check_settings(raw: dict, check_id: str) -> CheckSettings:
     return CheckSettings(enforcement=tier, include=include, exclude=exclude)
 
 
+_TOP_LEVEL_KEYS = (
+    "metadata_filename", "known_measures", "known_measures_file", "columns", "naming",
+    "filename_limit", "fraction_min_rows", "ignore_dirs", "schema", "checks",
+)
+
+
 def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     """Build a RepoConfig from a parsed YAML mapping."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    _known_keys(raw, _TOP_LEVEL_KEYS)
+    if "known_measures" in raw and "known_measures_file" in raw:
+        raise ConfigError("known_measures and known_measures_file are exclusive: set one")
 
     schema = _parse_schema(raw.get("schema", {}))
 
@@ -165,22 +181,19 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     columns = raw.get("columns", {})
     if not isinstance(columns, dict):
         raise ConfigError("columns must be a mapping")
+    _known_keys(columns, ("required", "optional"), "columns.")
     naming = raw.get("naming", {})
     if not isinstance(naming, dict):
         raise ConfigError("naming must be a mapping")
+    _known_keys(naming, ("pattern", "extensions"), "naming.")
 
     checks_raw = raw.get("checks", {})
     if not isinstance(checks_raw, dict):
         raise ConfigError("checks must be a mapping")
     # Imported here because the checks module imports this one.
-    from .checks import CHECK_NAMES, CHECK_ORDER
+    from .checks import CHECK_ORDER
 
-    unknown = sorted(str(cid) for cid in checks_raw if cid not in CHECK_NAMES)
-    if unknown:
-        raise ConfigError(
-            f"unknown check id(s) under checks: {', '.join(unknown)}"
-            f" (known: {', '.join(CHECK_ORDER)})"
-        )
+    _known_keys(checks_raw, CHECK_ORDER, "checks.")
     checks = {cid: _parse_check_settings(settings, cid) for cid, settings in checks_raw.items()}
 
     kwargs: dict = {"schema": schema, "checks": checks}

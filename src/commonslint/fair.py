@@ -178,31 +178,26 @@ def score_assessment(
     )
 
 
-def convert_checklist(
-    checklist: dict[str, str],
-    registry: dict[str, Indicator] | None = None,
-    category_levels: dict[str, int] | None = None,
-) -> FairAssessment:
+def convert_checklist(checklist: dict[str, str]) -> FairAssessment:
     """Convert a principle-level three-category checklist to an assessment.
 
-    Each principle's category is applied to every registry indicator that
-    shares the principle code. The default Achieving→4, WorkingTowards→2,
-    NotAddressing→1 mapping can be overridden via ``category_levels``.
+    Each principle's category is applied to every indicator of the packaged
+    registry that shares the principle code, mapped by
+    ``DEFAULT_CHECKLIST_LEVELS``: Achieving→4, WorkingTowards→2, NotAddressing→1.
     """
-    registry = registry if registry is not None else load_indicator_registry()
-    category_levels = category_levels or DEFAULT_CHECKLIST_LEVELS
+    registry = load_indicator_registry()
     levels: dict[str, int] = {}
     for principle, category in checklist.items():
         if principle not in GUIDING_PRINCIPLES:
             raise UnknownPrincipleError(f"unknown guiding principle: {principle}")
-        if category not in category_levels:
+        if category not in DEFAULT_CHECKLIST_LEVELS:
             raise UnknownPrincipleError(
                 f"unknown checklist category {category!r} for {principle};"
-                f" expected one of {sorted(category_levels)}"
+                f" expected one of {sorted(DEFAULT_CHECKLIST_LEVELS)}"
             )
         for indicator in registry.values():
             if indicator.principle == principle:
-                levels[indicator.indicator_id] = category_levels[category]
+                levels[indicator.indicator_id] = DEFAULT_CHECKLIST_LEVELS[category]
     return FairAssessment(levels=levels)
 
 

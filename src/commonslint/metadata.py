@@ -1,4 +1,4 @@
-"""measure_info files: parsing, serialization and citation resolution.
+"""measure_info files: parsing and serialization.
 
 A measure_info file is a JSON object mapping measure ids to metadata
 entries, with an optional reserved ``_references`` block holding the
@@ -61,11 +61,6 @@ class MeasureEntry:
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
-
-    @property
-    def is_dynamic(self) -> bool:
-        """True when the entry declares a non-empty categories or variants axis."""
-        return bool(self.data.get("categories")) or bool(self.data.get("variants"))
 
     @property
     def citations(self) -> list[str]:
@@ -226,31 +221,3 @@ def serialize_measure_info(mi: MeasureInfoFile) -> str:
     if mi.references is not None:
         payload[REFERENCES_KEY] = {rid: ref.fields for rid, ref in mi.references.items()}
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-@dataclass(frozen=True)
-class CitationResolution:
-    """Outcome of resolving one citation key for one measure."""
-
-    measure_id: str
-    key: str
-    resolved: bool
-    reference: ReferenceEntry | None = None
-
-
-def resolve_citations(mi: MeasureInfoFile) -> list[CitationResolution]:
-    """Resolve every citation key in the file against its ``_references`` block."""
-    refs = mi.references or {}
-    resolutions = []
-    for entry in mi:
-        for key in entry.citations:
-            ref = refs.get(key)
-            resolutions.append(
-                CitationResolution(
-                    measure_id=entry.measure_id,
-                    key=key,
-                    resolved=ref is not None,
-                    reference=ref,
-                )
-            )
-    return resolutions

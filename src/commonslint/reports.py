@@ -2,8 +2,8 @@
 
 All outputs are plain static files with relative links and no client-side
 code. Rendering is deterministic: the same inputs produce byte-identical
-files, with timestamps injected only when explicitly requested. Files are
-written to a temporary name and atomically moved into place.
+files, which carry no timestamp. Files are written to a temporary name and
+atomically moved into place.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from html import escape
 from pathlib import Path
 
@@ -38,16 +37,12 @@ th { background: #eee; }
 """
 
 
-def _page(title: str, body: str, timestamp: str | None = None) -> str:
-    meta = (
-        f'\n  <meta name="generated" content="{escape(timestamp)}">' if timestamp else ""
-    )
+def _page(title: str, body: str) -> str:
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n'
         "<head>\n"
-        '  <meta charset="utf-8">'
-        f"{meta}\n"
+        '  <meta charset="utf-8">\n'
         f"  <title>{escape(title)}</title>\n"
         f"  <style>\n{_STYLE}  </style>\n"
         "</head>\n"
@@ -122,7 +117,7 @@ def suite_to_payload(suite: SuiteReport) -> dict:
     }
 
 
-def _check_page(report, enforcement: str, timestamp: str | None) -> str:
+def _check_page(report, enforcement: str) -> str:
     cid = report.check.id
     counts = report.counts
     count_rows = "".join(
@@ -158,15 +153,12 @@ def _check_page(report, enforcement: str, timestamp: str | None) -> str:
         f"{items_table}"
         '  <p><a href="index.html">Back to index</a></p>\n'
     )
-    return _page(f"{report.check.name} [{cid}]", body, timestamp)
+    return _page(f"{report.check.name} [{cid}]", body)
 
 
-def render_suite(
-    suite: SuiteReport, outdir: str | Path, *, include_timestamp: bool = False
-) -> ReportBundle:
+def render_suite(suite: SuiteReport, outdir: str | Path) -> ReportBundle:
     """Write one HTML page per check, an index page, and suite.json."""
     out = Path(outdir)
-    timestamp = datetime.now(timezone.utc).isoformat() if include_timestamp else None
 
     pages: list[tuple[str, str]] = []
     index_lines = []
@@ -174,7 +166,7 @@ def render_suite(
         cid = report.check.id
         enforcement = suite.enforcement.get(cid, "enforced")
         filename = f"{report.check.name}.html"
-        pages.append((filename, _check_page(report, enforcement, timestamp)))
+        pages.append((filename, _check_page(report, enforcement)))
         index_lines.append(
             f'    <li id="line-{cid}"><a href="{filename}">{escape(report.check.name)}</a>'
             f" [{cid}]: {escape(report.summary_line())} &middot; {escape(enforcement)}</li>\n"
@@ -188,12 +180,9 @@ def render_suite(
         "  <ul>\n" + "".join(index_lines) + "  </ul>\n"
         '  <p>Machine-readable results: <a href="suite.json">suite.json</a></p>\n'
     )
-    index = ("index.html", _page("Check suite report", index_body, timestamp))
+    index = ("index.html", _page("Check suite report", index_body))
 
-    payload = suite_to_payload(suite)
-    if include_timestamp:
-        payload["generated_at"] = timestamp
-    sidecar = ("suite.json", _dump_json(payload))
+    sidecar = ("suite.json", _dump_json(suite_to_payload(suite)))
 
     for filename, content in [*pages, index, sidecar]:
         _atomic_write(out / filename, content)
@@ -221,7 +210,6 @@ class DictionarySite:
     outdir: str
     measure_pages: tuple[DictionaryPage, ...]
     category_files: tuple[str, ...]
-    index_file: str = "index.html"
 
 
 _SLUG_RE = re.compile(r"[^a-z0-9._-]+")
@@ -286,7 +274,6 @@ def _measure_page(
     source_path: str,
     references: frozenset[str],
     note: str | None,
-    timestamp: str | None,
 ) -> str:
     title = str(entry.get("short_name") or entry.measure_id)
     rows = []
@@ -309,15 +296,12 @@ def _measure_page(
         f"{_render_citations(entry, references)}"
         '  <p><a href="../index.html">All measures</a></p>\n'
     )
-    return _page(title, body, timestamp)
+    return _page(title, body)
 
 
-def render_dictionary(
-    snapshot: RepoSnapshot, outdir: str | Path, *, include_timestamp: bool = False
-) -> DictionarySite:
+def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionarySite:
     """Render the static data dictionary: measure pages, category pages, index."""
     out = Path(outdir)
-    timestamp = datetime.now(timezone.utc).isoformat() if include_timestamp else None
 
     # Expand every parsed measure_info once; expansion failures keep the raw
     # entry, marked on its page. Citations resolve against the reference
@@ -353,9 +337,7 @@ def render_dictionary(
             DictionaryPage(measure_id=entry.measure_id, filename=filename, category=category)
         )
         by_category.setdefault(category, []).append((entry.measure_id, filename))
-        _atomic_write(
-            out / filename, _measure_page(entry, source_path, references, note, timestamp)
-        )
+        _atomic_write(out / filename, _measure_page(entry, source_path, references, note))
 
     category_files: list[str] = []
     for category in sorted(by_category):
@@ -370,7 +352,7 @@ def render_dictionary(
             "  <ul>\n" + links + "  </ul>\n"
             '  <p><a href="../index.html">All measures</a></p>\n'
         )
-        _atomic_write(out / cat_file, _page(f"Category: {category}", body, timestamp))
+        _atomic_write(out / cat_file, _page(f"Category: {category}", body))
 
     measure_links = "".join(
         f'    <li><a href="{page.filename}">{escape(page.measure_id)}</a>'
@@ -389,7 +371,7 @@ def render_dictionary(
         "  <h2>All measures</h2>\n"
         "  <ul>\n" + measure_links + "  </ul>\n"
     )
-    _atomic_write(out / "index.html", _page("Data dictionary", index_body, timestamp))
+    _atomic_write(out / "index.html", _page("Data dictionary", index_body))
 
     return DictionarySite(
         outdir=str(out),
@@ -425,12 +407,9 @@ def fair_to_payload(report: FairReport) -> dict:
     }
 
 
-def render_fair(
-    report: FairReport, outdir: str | Path, *, include_timestamp: bool = False
-) -> list[str]:
+def render_fair(report: FairReport, outdir: str | Path) -> list[str]:
     """Write fair.json and fair.html; returns the filenames written."""
     out = Path(outdir)
-    timestamp = datetime.now(timezone.utc).isoformat() if include_timestamp else None
 
     header = "".join(
         f"<th>{level}: {escape(LEVEL_LABELS[level])}</th>" for level in LEVELS
@@ -479,9 +458,6 @@ def render_fair(
         "  </table>\n"
         f"{gaps_html}"
     )
-    _atomic_write(out / "fair.html", _page("FAIR maturity report", body, timestamp))
-    payload = fair_to_payload(report)
-    if include_timestamp:
-        payload["generated_at"] = timestamp
-    _atomic_write(out / "fair.json", _dump_json(payload))
+    _atomic_write(out / "fair.html", _page("FAIR maturity report", body))
+    _atomic_write(out / "fair.json", _dump_json(fair_to_payload(report)))
     return ["fair.html", "fair.json"]

@@ -18,7 +18,6 @@ import json
 import lzma
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fnmatch import fnmatch
 from functools import cached_property
 from pathlib import Path, PurePosixPath
@@ -54,8 +53,6 @@ class ParseFailure:
     path: str
     message: str
     stage: str = "json"
-    line: int | None = None
-    offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,12 @@ class RepoSnapshot:
 
     ``scan_repo`` fills the fields. Each parsed view reads its files on
     first access and keeps the result; a file changed after the walk is
-    read as it is at that access. Two scans of an unchanged tree are equal
-    in every field except ``scan_timestamp``, and their views are equal.
+    read as it is at that access. Two scans of an unchanged tree are equal,
+    and so are their views.
     """
 
     root: str
     files: tuple[ClassifiedFile, ...]
-    scan_timestamp: str = ""
 
     def _paths_of_kind(self, kind: str):
         root = Path(self.root)
@@ -96,11 +92,7 @@ class RepoSnapshot:
             try:
                 infos.append(parse_measure_info(full.read_bytes(), path=rel))
             except ParseError as exc:
-                infos.append(
-                    ParseFailure(
-                        path=rel, message=str(exc), stage=exc.stage, line=exc.line, offset=exc.offset
-                    )
-                )
+                infos.append(ParseFailure(path=rel, message=str(exc), stage=exc.stage))
         return tuple(infos)
 
     @cached_property
@@ -111,7 +103,7 @@ class RepoSnapshot:
             try:
                 tables.append(parse_data_table(full, rel))
             except ParseError as exc:
-                tables.append(ParseFailure(path=rel, message=str(exc), stage="csv", line=exc.line))
+                tables.append(ParseFailure(path=rel, message=str(exc), stage="csv"))
         return tuple(tables)
 
     @cached_property
@@ -276,5 +268,4 @@ def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapsho
     return RepoSnapshot(
         root=str(root_path),
         files=tuple(classify(rel, config) for rel in rel_paths),
-        scan_timestamp=datetime.now(timezone.utc).isoformat(),
     )

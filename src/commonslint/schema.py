@@ -1,8 +1,8 @@
 """Core metadata schema: element names, vocabularies, limits and key checks.
 
 The schema is data, not code: defaults ship with the package
-(``data/vocabularies.yaml``) and every piece is overridable through the
-repository config.
+(``data/vocabularies.yaml``). The key sets and vocabularies are overridable
+through the repository config; the character limits are fixed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ CORE_ELEMENTS: tuple[str, ...] = (
 # them, so they are excluded from the completeness check by default.
 DYNAMIC_AXES: tuple[str, ...] = ("categories", "variants")
 
-DEFAULT_CHAR_LIMITS: dict[str, int] = {
+CHAR_LIMITS: dict[str, int] = {
     "long_name": 55,
     "short_name": 40,
     "short_description": 100,
@@ -71,8 +71,6 @@ class SchemaConfig:
     allowed_keys: frozenset[str] = frozenset(CORE_ELEMENTS)
     expected_keys: frozenset[str] = frozenset(set(CORE_ELEMENTS) - set(DYNAMIC_AXES))
     vocabularies: dict[str, frozenset[str]] = field(default_factory=dict)
-    char_limits: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CHAR_LIMITS))
-    statement_placeholders: frozenset[str] = DEFAULT_STATEMENT_PLACEHOLDERS
 
     def vocabulary(self, element: str) -> frozenset[str]:
         return self.vocabularies.get(element, frozenset())
@@ -89,13 +87,11 @@ def customized_schema(
     allowed_keys=None,
     expected_keys=None,
     vocabularies=None,
-    char_limits=None,
-    statement_placeholders=None,
 ) -> SchemaConfig:
     """Apply per-repository overrides on top of a base schema.
 
-    Vocabulary overrides replace the term set for that element only;
-    everything else replaces wholesale when given.
+    Vocabulary overrides replace the term set for that element only; the
+    key sets replace wholesale when given.
     """
     schema = base if base is not None else default_schema()
     changes: dict[str, object] = {}
@@ -108,12 +104,6 @@ def customized_schema(
         for element, terms in vocabularies.items():
             merged[element] = frozenset(terms)
         changes["vocabularies"] = merged
-    if char_limits:
-        merged_limits = dict(schema.char_limits)
-        merged_limits.update({k: int(v) for k, v in char_limits.items()})
-        changes["char_limits"] = merged_limits
-    if statement_placeholders is not None:
-        changes["statement_placeholders"] = frozenset(statement_placeholders)
     return replace(schema, **changes) if changes else schema
 
 
@@ -170,14 +160,14 @@ def validate_entry_keys(entry, schema: SchemaConfig) -> KeyReport:
     )
 
 
-def check_char_limits(entry, schema: SchemaConfig) -> list[LimitViolation]:
+def check_char_limits(entry) -> list[LimitViolation]:
     """One violation per string field strictly longer than its limit.
 
-    Limits are inclusive: a value exactly at the limit passes. Fields with
-    no configured limit (e.g. long_description) are never flagged.
+    Limits (``CHAR_LIMITS``) are inclusive: a value exactly at the limit
+    passes. Fields with no limit (e.g. long_description) are never flagged.
     """
     violations = []
-    for field_name, limit in sorted(schema.char_limits.items()):
+    for field_name, limit in sorted(CHAR_LIMITS.items()):
         value = entry.data.get(field_name)
         if isinstance(value, str) and len(value) > limit:
             violations.append(LimitViolation(field_name, len(value), limit))

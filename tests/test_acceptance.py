@@ -31,7 +31,7 @@ from commonslint.fair import (
 )
 from commonslint.metadata import parse_measure_info, serialize_measure_info
 from commonslint.scanner import scan_repo
-from commonslint.schema import check_char_limits, default_schema
+from commonslint.schema import check_char_limits
 from repo_fixtures import build_planted_repo, clean_entry, flagged_items, reports_for, write_info
 
 CONFIG = default_config()
@@ -206,14 +206,10 @@ def test_criterion_5_registry_fidelity():
 
 
 def test_criterion_6_char_limit_boundaries(tmp_path):
-    schema = default_schema()
-
     def violations(**overrides):
         from commonslint.metadata import MeasureEntry
 
-        return check_char_limits(
-            MeasureEntry(measure_id="m", data=clean_entry("m", **overrides)), schema
-        )
+        return check_char_limits(MeasureEntry(measure_id="m", data=clean_entry("m", **overrides)))
 
     field_ok = (
         violations(long_name="x" * 55) == []

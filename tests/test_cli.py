@@ -117,6 +117,25 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ("filename_limt: 5", "filename_limt"),
+        ("columns: {requird: [geoid]}", "columns.requird"),
+        ("naming: {patern: x}", "naming.patern"),
+        ("schema: {char_limits: {long_name: 3}}", "schema.char_limits"),
+        ("checks: {T2: {enforcment: warn}}", "checks.T2.enforcment"),
+    ],
+)
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, config, key):
+    (tmp_path / ".commonslint.yml").write_text(config + "\n", encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path), "--no-reports"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: unknown config key '{key}' (known: ")
+    assert err.count("\n") == 1
+
+
 def test_unquoted_off_tier_reads_as_off(tmp_path, capsys):
     (tmp_path / ".commonslint.yml").write_text("checks: {T13: {enforcement: off}}\n", encoding="utf-8")
     (tmp_path / ("x" * 120 + ".txt")).write_text("x", encoding="utf-8")

@@ -82,19 +82,12 @@ def test_parse_config_unknown_check_id_lists_the_known_ids():
 
 
 def test_parse_config_schema_lists_and_limits():
-    config = parse_config(
-        {
-            "schema": {
-                "allowed_keys": ["long_name", "unit"],
-                "statement_placeholders": ["value"],
-                "char_limits": {"long_name": 20},
-            }
-        }
-    )
+    config = parse_config({"schema": {"allowed_keys": ["long_name", "unit"]}})
     assert config.schema.allowed_keys == frozenset({"long_name", "unit"})
-    assert config.schema.statement_placeholders == frozenset({"value"})
-    assert config.schema.char_limits["long_name"] == 20
-    assert config.schema.char_limits["short_name"] == 40
+    # The character limits and statement placeholders are fixed, not config.
+    for key in ("char_limits", "statement_placeholders"):
+        with pytest.raises(ConfigError, match=f"unknown config key 'schema.{key}'"):
+            parse_config({"schema": {key: {"long_name": 20}}})
 
 
 @pytest.mark.parametrize(
@@ -121,6 +114,7 @@ def test_parse_config_schema_lists_and_limits():
         {"naming": {"pattern": "("}},
         {"known_measures_file": 5},
         {"known_measures_file": "a\0b"},
+        {"known_measures": ["a"], "known_measures_file": "missing.txt"},
     ],
 )
 def test_parse_config_shape_errors(raw):
@@ -143,16 +137,14 @@ def _section(*keys: str):
 _CONFIGS = st.fixed_dictionaries(
     {},
     optional={
-        "schema": _section(
-            "allowed_keys", "expected_keys", "vocabularies", "char_limits", "statement_placeholders"
-        ),
+        "schema": _section("allowed_keys", "expected_keys", "vocabularies", "allowed_kyes"),
         "known_measures": _YAML_VALUES,
         "known_measures_file": _YAML_VALUES,
-        "columns": _section("required", "optional"),
-        "naming": _section("pattern", "extensions"),
+        "columns": _section("required", "optional", "requird"),
+        "naming": _section("pattern", "extensions", "patern"),
         "checks": st.dictionaries(
             st.sampled_from(CHECK_ORDER) | _YAML_VALUES.filter(lambda v: v is None or isinstance(v, (str, int))),
-            _section("enforcement", "include", "exclude"),
+            _section("enforcement", "include", "exclude", "enforcment"),
             max_size=3,
         )
         | _YAML_VALUES,
@@ -160,6 +152,7 @@ _CONFIGS = st.fixed_dictionaries(
         "filename_limit": _YAML_VALUES,
         "fraction_min_rows": _YAML_VALUES,
         "ignore_dirs": _YAML_VALUES,
+        "filename_limt": _YAML_VALUES,
     },
 )
 

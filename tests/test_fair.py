@@ -242,11 +242,6 @@ def test_convert_checklist_rejects_unknowns():
         convert_checklist({"F1": "Excelling"})
 
 
-def test_convert_checklist_custom_category_levels():
-    assessment = convert_checklist({"A2": "Stalled"}, category_levels={"Stalled": 1})
-    assert assessment.levels == {"RDA-A2-01M": 1}
-
-
 # ---------------------------------------------------------------- assessment files
 
 

@@ -8,7 +8,6 @@ from commonslint.errors import DuplicateKeyError, ParseError
 from commonslint.metadata import (
     MeasureEntry,
     parse_measure_info,
-    resolve_citations,
     serialize_measure_info,
 )
 from repo_fixtures import clean_entry
@@ -117,12 +116,6 @@ def test_layer_accepts_string_and_object():
     assert MeasureEntry(measure_id="m", data={}).layer is None
 
 
-def test_is_dynamic_flag():
-    assert MeasureEntry(measure_id="m", data={"categories": ["a"]}).is_dynamic
-    assert MeasureEntry(measure_id="m", data={"variants": ["v"]}).is_dynamic
-    assert not MeasureEntry(measure_id="m", data={"unit": "household"}).is_dynamic
-
-
 def test_serialize_round_trip_structural_equality():
     original = {
         "zeta": clean_entry("zeta"),
@@ -144,20 +137,3 @@ def test_serialize_round_trip_structural_equality():
 def test_serialize_omits_absent_references():
     mi = parse_measure_info(json.dumps({"m1": {}}))
     assert "_references" not in json.loads(serialize_measure_info(mi))
-
-
-def test_resolve_citations_reports_unresolved_keys():
-    mi = parse_measure_info(
-        json.dumps(
-            {
-                "m1": {"citations": ["lou04", "ghost99"]},
-                "_references": {"lou04": {"title": "T"}},
-            }
-        )
-    )
-    resolutions = resolve_citations(mi)
-    by_key = {(r.measure_id, r.key): r for r in resolutions}
-    assert by_key[("m1", "lou04")].resolved
-    assert by_key[("m1", "lou04")].reference.fields["title"] == "T"
-    assert not by_key[("m1", "ghost99")].resolved
-    assert by_key[("m1", "ghost99")].reference is None

@@ -67,7 +67,7 @@ def test_scan_clean_repo_inventory(clean_repo):
 def test_scan_is_deterministic_up_to_timestamp(clean_repo):
     first = scan_repo(clean_repo, CONFIG)
     second = scan_repo(clean_repo, CONFIG)
-    assert first.files == second.files
+    assert first == second
     assert first.measure_info_files == second.measure_info_files
     assert first.data_tables == second.data_tables
     assert first.json_syntax == second.json_syntax

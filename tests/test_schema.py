@@ -72,21 +72,19 @@ def test_is_blank_rejects_substantive_values(value):
 
 
 def test_char_limits_inclusive_boundaries():
-    schema = default_schema()
     at_limit = entry(
         long_name="x" * 55, short_name="y" * 40, short_description="z" * 100
     )
-    assert check_char_limits(at_limit, schema) == []
+    assert check_char_limits(at_limit) == []
 
     over = entry(long_name="x" * 56)
-    (violation,) = check_char_limits(over, schema)
+    (violation,) = check_char_limits(over)
     assert (violation.field, violation.length, violation.limit) == ("long_name", 56, 55)
 
 
 def test_char_limits_ignore_unlimited_and_non_string_fields():
-    schema = default_schema()
-    assert check_char_limits(entry(long_description="w" * 10_000), schema) == []
-    assert check_char_limits(entry(long_name=123456), schema) == []
+    assert check_char_limits(entry(long_description="w" * 10_000)) == []
+    assert check_char_limits(entry(long_name=123456)) == []
 
 
 def test_customized_schema_merges_vocabularies_per_element():
@@ -97,11 +95,9 @@ def test_customized_schema_merges_vocabularies_per_element():
     assert custom.vocabulary("measure_type") == base.vocabulary("measure_type")
 
 
-def test_customized_schema_overrides_limits_and_keys():
-    custom = customized_schema(
-        allowed_keys=["short_name"], expected_keys=["short_name"], char_limits={"short_name": 5}
-    )
+def test_customized_schema_overrides_keys():
+    custom = customized_schema(allowed_keys=["short_name"], expected_keys=["unit"])
     assert custom.allowed_keys == frozenset({"short_name"})
-    assert custom.char_limits["short_name"] == 5
+    assert custom.expected_keys == frozenset({"unit"})
     # Unmentioned defaults retained.
-    assert custom.char_limits["long_name"] == 55
+    assert custom.vocabularies == default_schema().vocabularies
