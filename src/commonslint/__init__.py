@@ -50,14 +50,7 @@ from .metadata import (
 )
 from .reports import render_dictionary, render_fair, render_suite
 from .scanner import ClassifiedFile, DataTable, RepoSnapshot, parse_data_table, scan_repo
-from .schema import (
-    CORE_ELEMENTS,
-    SchemaConfig,
-    check_char_limits,
-    customized_schema,
-    default_schema,
-    validate_entry_keys,
-)
+from .schema import CORE_ELEMENTS, check_char_limits, validate_entry_keys
 from .statements import extract_placeholders, format_value, render_statement
 
 __version__ = "1.0.0"
@@ -87,15 +80,12 @@ __all__ = [
     "RenderError",
     "RepoConfig",
     "RepoSnapshot",
-    "SchemaConfig",
     "SuiteReport",
     "UnknownIndicatorError",
     "UnknownPrincipleError",
     "check_char_limits",
     "convert_checklist",
-    "customized_schema",
     "default_config",
-    "default_schema",
     "expand_dynamic",
     "expand_file",
     "extract_placeholders",

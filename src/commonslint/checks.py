@@ -299,9 +299,8 @@ def _percent_items(table: DataTable, run: _Run) -> list[CheckItem]:
 
 def _allowed_key_items(info: MeasureInfoFile, run: _Run):
     """T3: entries and the reserved references block use only allowable keys."""
-    allowed = run.config.schema.allowed_keys
     for measure_id, entry in info.entries.items():
-        disallowed = sorted(k for k in entry.data if k not in allowed)
+        disallowed = sorted(validate_entry_keys(entry, run.config).disallowed)
         if disallowed:
             yield CheckItem(
                 path=info.path,
@@ -329,7 +328,7 @@ def _allowed_key_items(info: MeasureInfoFile, run: _Run):
 def _expected_key_items(info: MeasureInfoFile, run: _Run):
     """T7: expected keys are present and filled."""
     for measure_id, entry in info.entries.items():
-        report = validate_entry_keys(entry, run.config.schema)
+        report = validate_entry_keys(entry, run.config)
         problems = []
         if report.absent:
             problems.append(f"absent: {', '.join(report.absent)}")
@@ -428,7 +427,7 @@ def _extra_measure_items(info: MeasureInfoFile, run: _Run):
 
 
 def _vocabulary_items(table: DataTable, element: str, present: frozenset[str], run: _Run):
-    vocabulary = run.config.schema.vocabulary(element)
+    vocabulary = run.config.vocabularies[element]
     for value in sorted(present):
         if value in vocabulary:
             yield CheckItem(path=table.path, key=value, verdict="valid")

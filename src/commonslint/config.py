@@ -2,9 +2,10 @@
 
 One YAML file per repository (default name ``.commonslint.yml`` at the
 repo root) tunes classification patterns, required column sets, check
-enforcement tiers and schema overrides. Everything has a default; an
-absent config file means "use the defaults". A key the parser does not
-use is an error, so a typo never passes for a setting.
+enforcement tiers, the allowed and expected metadata keys and the
+vocabularies of the elements in ``schema.VOCABULARY_ELEMENTS``. Everything
+has a default; an absent config file means "use the defaults". A key the
+parser does not use is an error, so a typo never passes for a setting.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .schema import SchemaConfig, customized_schema, default_schema
+from .schema import CORE_ELEMENTS, DYNAMIC_AXES, VOCABULARY_ELEMENTS
 
 CONFIG_FILENAMES = (".commonslint.yml", "commonslint.yml")
 
@@ -55,9 +57,24 @@ class CheckSettings:
 DEFAULT_CHECK_TIERS = {"T10": "warn"}
 
 
+def _packaged_vocabularies() -> dict[str, frozenset[str]]:
+    text = resources.files("commonslint").joinpath("data/vocabularies.yaml").read_text("utf-8")
+    return {element: frozenset(terms) for element, terms in yaml.safe_load(text).items()}
+
+
 @dataclass(frozen=True)
 class RepoConfig:
-    schema: SchemaConfig
+    """The settings of one repository.
+
+    ``allowed_keys`` are the element names a measure_info entry may use
+    (T3), ``expected_keys`` the subset whose absence or blankness T7 reports.
+    ``vocabularies`` holds the case-sensitive term set of each element in
+    ``VOCABULARY_ELEMENTS`` (T4, T9).
+    """
+
+    allowed_keys: frozenset[str] = frozenset(CORE_ELEMENTS)
+    expected_keys: frozenset[str] = frozenset(CORE_ELEMENTS) - frozenset(DYNAMIC_AXES)
+    vocabularies: dict[str, frozenset[str]] = field(default_factory=_packaged_vocabularies)
     metadata_filename: str = "measure_info.json"
     required_columns: tuple[str, ...] = DEFAULT_REQUIRED_COLUMNS
     optional_columns: tuple[str, ...] = DEFAULT_OPTIONAL_COLUMNS
@@ -79,7 +96,7 @@ class RepoConfig:
 
 
 def default_config() -> RepoConfig:
-    return RepoConfig(schema=default_schema())
+    return RepoConfig()
 
 
 def _as_str_tuple(value, key: str) -> tuple[str, ...]:
@@ -105,26 +122,20 @@ def _known_keys(raw: dict, known: tuple[str, ...], path: str = "") -> None:
         )
 
 
+def _section(raw: dict, name: str, known: tuple[str, ...]) -> dict:
+    """The mapping under the top-level key ``name``, whose keys must be in ``known``."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    _known_keys(section, known, f"{name}.")
+    return section
+
+
 def _positive_int(value, key: str) -> int:
     # bool is an int subclass; `filename_limit: yes` is a mistake, not 1.
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     return value
-
-
-def _parse_schema(raw) -> SchemaConfig:
-    raw = _as_mapping(raw, "schema")
-    _known_keys(raw, ("allowed_keys", "expected_keys", "vocabularies"), "schema.")
-    overrides: dict = {}
-    for key in ("allowed_keys", "expected_keys"):
-        if raw.get(key) is not None:
-            overrides[key] = _as_str_tuple(raw[key], f"schema.{key}")
-    if raw.get("vocabularies") is not None:
-        overrides["vocabularies"] = {
-            element: _as_str_tuple(terms, f"schema.vocabularies.{element}")
-            for element, terms in _as_mapping(raw["vocabularies"], "schema.vocabularies").items()
-        }
-    return customized_schema(**overrides)
 
 
 def _parse_check_settings(raw: dict, check_id: str) -> CheckSettings:
@@ -139,8 +150,11 @@ def _parse_check_settings(raw: dict, check_id: str) -> CheckSettings:
         raise ConfigError(
             f"checks.{check_id}.enforcement must be one of {ENFORCEMENT_TIERS}, got {tier!r}"
         )
-    include = _as_str_tuple(raw.get("include", []), f"checks.{check_id}.include") if raw.get("include") else ()
-    exclude = _as_str_tuple(raw.get("exclude", []), f"checks.{check_id}.exclude") if raw.get("exclude") else ()
+    # Absent, null and [] mean no scoping; any other value must be patterns.
+    include, exclude = (
+        () if raw.get(key) in (None, []) else _as_str_tuple(raw[key], f"checks.{check_id}.{key}")
+        for key in ("include", "exclude")
+    )
     return CheckSettings(enforcement=tier, include=include, exclude=exclude)
 
 
@@ -160,8 +174,6 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     if "known_measures" in raw and "known_measures_file" in raw:
         raise ConfigError("known_measures and known_measures_file are exclusive: set one")
 
-    schema = _parse_schema(raw.get("schema", {}))
-
     known: frozenset[str] | None = None
     if "known_measures" in raw and raw["known_measures"] is not None:
         known = frozenset(_as_str_tuple(raw["known_measures"], "known_measures"))
@@ -178,29 +190,22 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
             raise ConfigError(f"cannot read known_measures_file: {exc}") from exc
         known = frozenset(line.strip() for line in lines if line.strip())
 
-    columns = raw.get("columns", {})
-    if not isinstance(columns, dict):
-        raise ConfigError("columns must be a mapping")
-    _known_keys(columns, ("required", "optional"), "columns.")
-    naming = raw.get("naming", {})
-    if not isinstance(naming, dict):
-        raise ConfigError("naming must be a mapping")
-    _known_keys(naming, ("pattern", "extensions"), "naming.")
-
-    checks_raw = raw.get("checks", {})
-    if not isinstance(checks_raw, dict):
-        raise ConfigError("checks must be a mapping")
+    columns = _section(raw, "columns", ("required", "optional"))
+    naming = _section(raw, "naming", ("pattern", "extensions"))
+    schema = _section(raw, "schema", ("allowed_keys", "expected_keys", "vocabularies"))
     # Imported here because the checks module imports this one.
     from .checks import CHECK_ORDER
 
-    _known_keys(checks_raw, CHECK_ORDER, "checks.")
+    checks_raw = _section(raw, "checks", CHECK_ORDER)
     checks = {cid: _parse_check_settings(settings, cid) for cid, settings in checks_raw.items()}
 
-    kwargs: dict = {"schema": schema, "checks": checks}
+    kwargs: dict = {"checks": checks}
     if known is not None:
         kwargs["known_measures"] = known
     if "metadata_filename" in raw:
-        kwargs["metadata_filename"] = str(raw["metadata_filename"])
+        if not isinstance(raw["metadata_filename"], str):
+            raise ConfigError("metadata_filename must be a string")
+        kwargs["metadata_filename"] = raw["metadata_filename"]
     if "required" in columns:
         kwargs["required_columns"] = _as_str_tuple(columns["required"], "columns.required")
     if "optional" in columns:
@@ -221,6 +226,17 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
         kwargs["fraction_min_rows"] = _positive_int(raw["fraction_min_rows"], "fraction_min_rows")
     if "ignore_dirs" in raw:
         kwargs["ignore_dirs"] = frozenset(_as_str_tuple(raw["ignore_dirs"], "ignore_dirs"))
+    for key in ("allowed_keys", "expected_keys"):
+        if schema.get(key) is not None:
+            kwargs[key] = frozenset(_as_str_tuple(schema[key], f"schema.{key}"))
+    if schema.get("vocabularies") is not None:
+        overrides = _as_mapping(schema["vocabularies"], "schema.vocabularies")
+        _known_keys(overrides, VOCABULARY_ELEMENTS, "schema.vocabularies.")
+        # An override replaces the term set of its element only.
+        kwargs["vocabularies"] = _packaged_vocabularies() | {
+            element: frozenset(_as_str_tuple(terms, f"schema.vocabularies.{element}"))
+            for element, terms in overrides.items()
+        }
     return RepoConfig(**kwargs)
 
 
@@ -247,4 +263,6 @@ def load_config(config_path: str | Path | None = None, repo_root: str | Path | N
         raw = yaml.safe_load(path.read_text("utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"invalid YAML in {path}: nested too deeply") from exc
     return parse_config(raw, base_dir=path.parent)

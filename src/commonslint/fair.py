@@ -8,12 +8,12 @@ or CSV); scoring is a pure function of assessment and registry.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, RegistryError, UnknownIndicatorError, UnknownPrincipleError
+from .metadata import parse_json
 
 EXPECTED_INDICATOR_COUNT = 41
 PRIORITIES = ("Essential", "Important", "Useful")
@@ -130,8 +130,8 @@ def load_indicator_registry(source: str | Path | None = None) -> dict[str, Indic
     else:
         raw = Path(source).read_text("utf-8")
     try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        payload = parse_json(raw)
+    except ParseError as exc:
         raise RegistryError(f"registry is not valid JSON: {exc}") from exc
     return _build_registry(payload)
 
@@ -232,10 +232,7 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
                 ) from exc
         return FairAssessment(levels=levels)
 
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=rel, line=exc.lineno, offset=exc.pos) from exc
+    payload = parse_json(raw, rel)
     if not isinstance(payload, dict):
         raise ParseError("assessment must be a JSON object", path=rel, stage="structure")
     if "levels" in payload and isinstance(payload["levels"], dict):

@@ -6,6 +6,9 @@ bibliography. Entries keep their raw key/value data verbatim so that
 unknown keys, nulls and legacy shapes survive a parse/serialize round
 trip untouched; typed views (sources, layer, citations) normalize on
 read only.
+
+``parse_json`` is the package's one JSON reader, so malformed or too deeply
+nested JSON input is a ParseError in every command.
 """
 
 from __future__ import annotations
@@ -147,11 +150,26 @@ def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> Any:
+    """``json.loads`` that raises ParseError (stage "json") for any input it cannot read.
+
+    A syntax error carries its line and byte offset. Nesting too deep for
+    the decoder's recursion limit is a ParseError too, not a RecursionError.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("nested too deeply", path=path) from exc
+
+
 def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> MeasureInfoFile:
     """Parse raw file content into a MeasureInfoFile.
 
     Raises ParseError (stage "json") for malformed JSON with the line and
-    byte offset of the first syntax error, ParseError (stage "structure")
+    byte offset of the first syntax error, or for nesting too deep to
+    decode, ParseError (stage "structure")
     when the document is valid JSON but not shaped like a measure_info
     file, and DuplicateKeyError when any object repeats a key. Unknown
     entry keys are preserved; rejecting them is validation's job.
@@ -164,13 +182,9 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
     else:
         text = raw
     try:
-        document = json.loads(text, object_pairs_hook=_reject_duplicates)
+        document = parse_json(text, path, object_pairs_hook=_reject_duplicates)
     except DuplicateKeyError as exc:
         raise DuplicateKeyError(exc.key, path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            exc.msg, path=path, line=exc.lineno, offset=exc.pos
-        ) from exc
 
     if not isinstance(document, dict):
         raise ParseError(

@@ -14,7 +14,6 @@ import bz2
 import csv
 import gzip
 import io
-import json
 import lzma
 import os
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from pathlib import Path, PurePosixPath
 
 from .config import RepoConfig, default_config
 from .errors import ParseError
-from .metadata import MeasureInfoFile, parse_measure_info
+from .metadata import MeasureInfoFile, parse_json, parse_measure_info
 
 _TABULAR_EXTENSIONS = {".csv"}
 _COMPRESSION_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
@@ -133,9 +132,9 @@ class RepoSnapshot:
 
 def _json_verdict(path: Path) -> str | None:
     try:
-        json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        return f"{exc.msg} (line {exc.lineno}, offset {exc.pos})"
+        parse_json(path.read_text("utf-8"))
+    except ParseError as exc:
+        return str(exc)
     except (OSError, UnicodeDecodeError) as exc:
         return f"unreadable: {exc}"
     return None

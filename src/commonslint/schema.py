@@ -1,16 +1,17 @@
-"""Core metadata schema: element names, vocabularies, limits and key checks.
+"""Core metadata schema: element names, limits and key checks.
 
-The schema is data, not code: defaults ship with the package
-(``data/vocabularies.yaml``). The key sets and vocabularies are overridable
-through the repository config; the character limits are fixed.
+The allowed and expected key sets and the vocabularies are repository
+config (``RepoConfig``); the vocabulary defaults ship with the package in
+``data/vocabularies.yaml``. The character limits are fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import yaml
+if TYPE_CHECKING:
+    from .config import RepoConfig
 
 # The sixteen named core elements. The measure id (the JSON key naming the
 # entry) is the seventeenth element and is carried separately.
@@ -33,6 +34,9 @@ CORE_ELEMENTS: tuple[str, ...] = (
     "variants",
 )
 
+# The elements whose controlled vocabulary a check reads: T4 and T9.
+VOCABULARY_ELEMENTS: tuple[str, ...] = ("measure_type", "region_type")
+
 # Axes consumed by dynamic-metadata expansion; concrete entries never carry
 # them, so they are excluded from the completeness check by default.
 DYNAMIC_AXES: tuple[str, ...] = ("categories", "variants")
@@ -49,62 +53,6 @@ DEFAULT_STATEMENT_PLACEHOLDERS: frozenset[str] = frozenset(
 
 # File-level key reserved for the bibliography block.
 REFERENCES_KEY = "_references"
-
-
-def _load_default_vocabularies() -> dict[str, frozenset[str]]:
-    text = (
-        resources.files("commonslint").joinpath("data/vocabularies.yaml").read_text("utf-8")
-    )
-    raw = yaml.safe_load(text)
-    return {element: frozenset(terms) for element, terms in raw.items()}
-
-
-@dataclass(frozen=True)
-class SchemaConfig:
-    """The configured shape of core metadata entries.
-
-    ``allowed_keys`` are the element names an entry may use, ``expected_keys``
-    the subset whose absence or blankness is reported by the completeness
-    check. Vocabularies are case-sensitive term sets per element.
-    """
-
-    allowed_keys: frozenset[str] = frozenset(CORE_ELEMENTS)
-    expected_keys: frozenset[str] = frozenset(set(CORE_ELEMENTS) - set(DYNAMIC_AXES))
-    vocabularies: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def vocabulary(self, element: str) -> frozenset[str]:
-        return self.vocabularies.get(element, frozenset())
-
-
-def default_schema() -> SchemaConfig:
-    """Schema with the packaged vocabulary defaults."""
-    return SchemaConfig(vocabularies=_load_default_vocabularies())
-
-
-def customized_schema(
-    base: SchemaConfig | None = None,
-    *,
-    allowed_keys=None,
-    expected_keys=None,
-    vocabularies=None,
-) -> SchemaConfig:
-    """Apply per-repository overrides on top of a base schema.
-
-    Vocabulary overrides replace the term set for that element only; the
-    key sets replace wholesale when given.
-    """
-    schema = base if base is not None else default_schema()
-    changes: dict[str, object] = {}
-    if allowed_keys is not None:
-        changes["allowed_keys"] = frozenset(allowed_keys)
-    if expected_keys is not None:
-        changes["expected_keys"] = frozenset(expected_keys)
-    if vocabularies:
-        merged = dict(schema.vocabularies)
-        for element, terms in vocabularies.items():
-            merged[element] = frozenset(terms)
-        changes["vocabularies"] = merged
-    return replace(schema, **changes) if changes else schema
 
 
 def is_blank(value: object) -> bool:
@@ -134,29 +82,19 @@ class LimitViolation:
     limit: int
 
 
-def validate_entry_keys(entry, schema: SchemaConfig) -> KeyReport:
+def validate_entry_keys(entry, config: RepoConfig) -> KeyReport:
     """Partition an entry's keys into allowed / disallowed / absent / blank.
 
     Total: never raises, whatever the key set. Absence (key missing) and
     blankness (key present with an empty value) are reported separately.
     """
-    present = list(entry.data.keys())
-    allowed_present = tuple(k for k in present if k in schema.allowed_keys)
-    disallowed = tuple(k for k in present if k not in schema.allowed_keys)
-    absent = tuple(sorted(k for k in schema.expected_keys if k not in entry.data))
-    blank = tuple(
-        sorted(
-            k
-            for k in schema.expected_keys
-            if k in entry.data and is_blank(entry.data[k])
-        )
-    )
+    allowed, expected, data = config.allowed_keys, config.expected_keys, entry.data
     return KeyReport(
         measure_id=entry.measure_id,
-        allowed_present=allowed_present,
-        disallowed=disallowed,
-        absent=absent,
-        blank=blank,
+        allowed_present=tuple(k for k in data if k in allowed),
+        disallowed=tuple(k for k in data if k not in allowed),
+        absent=tuple(sorted(expected.difference(data))),
+        blank=tuple(sorted(k for k in expected.intersection(data) if is_blank(data[k]))),
     )
 
 

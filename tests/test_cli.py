@@ -125,6 +125,7 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config):
         ("naming: {patern: x}", "naming.patern"),
         ("schema: {char_limits: {long_name: 3}}", "schema.char_limits"),
         ("checks: {T2: {enforcment: warn}}", "checks.T2.enforcment"),
+        ("schema: {vocabularies: {regoin_type: [state]}}", "schema.vocabularies.regoin_type"),
     ],
 )
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, config, key):
@@ -334,6 +335,48 @@ def test_fair_missing_file_exits_2(tmp_path, capsys):
     code = main(["fair", "--assessment", str(tmp_path / "nope.json"), "--out", str(tmp_path / "f")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- nesting
+
+# Deep enough to exhaust the JSON and YAML decoders' recursion limits.
+DEEP = "[" * 100_000
+
+
+def test_check_reports_deeply_nested_json_as_invalid(clean_repo, tmp_path, capsys):
+    dataset = clean_repo / "nested" / "data" / "distribution"
+    dataset.mkdir(parents=True)
+    (dataset / "measure_info.json").write_text(DEEP, encoding="utf-8")
+    (dataset / "layer.geojson").write_text(DEEP, encoding="utf-8")
+    code = main(["check", "--repo", str(clean_repo), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "overall: fail" in captured.out
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    (t8,) = [c for c in payload["checks"] if c["id"] == "T8"]
+    flagged = {i["path"]: i["detail"] for i in t8["items"] if i["verdict"] == "invalid"}
+    assert flagged == {
+        "nested/data/distribution/measure_info.json": "nested/data/distribution/measure_info.json: nested too deeply",
+        "nested/data/distribution/layer.geojson": "nested too deeply",
+    }
+
+
+@pytest.mark.parametrize("command", ["config", "expand", "checklist", "assessment"])
+def test_deeply_nested_input_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / ("input.yml" if command == "config" else "input.json")
+    path.write_text(DEEP, encoding="utf-8")
+    argv = {
+        "config": ["check", "--repo", str(tmp_path), "--config", str(path), "--no-reports"],
+        "expand": ["expand", "--in", str(path), "--out", str(tmp_path / "o.json")],
+        "checklist": ["fair", "--checklist", str(path), "--out", str(tmp_path / "f")],
+        "assessment": ["fair", "--assessment", str(path), "--out", str(tmp_path / "f")],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.endswith("nested too deeply\n")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- parser

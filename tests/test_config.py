@@ -62,8 +62,14 @@ def test_parse_config_overrides():
 
 def test_parse_config_schema_section_merges_vocabulary():
     config = parse_config({"schema": {"vocabularies": {"region_type": ["state"]}}})
-    assert config.schema.vocabulary("region_type") == frozenset({"state"})
-    assert "percent" in config.schema.vocabulary("measure_type")
+    assert config.vocabularies["region_type"] == frozenset({"state"})
+    # Untouched vocabularies survive.
+    assert config.vocabularies["measure_type"] == default_config().vocabularies["measure_type"]
+
+
+def test_parse_config_null_or_empty_scope_is_no_scoping():
+    config = parse_config({"checks": {"T4": {"include": None, "exclude": []}, "T9": {}}})
+    assert config.check_settings("T4") == config.check_settings("T9") == CheckSettings()
 
 
 def test_parse_config_rejects_unknown_tier():
@@ -83,7 +89,7 @@ def test_parse_config_unknown_check_id_lists_the_known_ids():
 
 def test_parse_config_schema_lists_and_limits():
     config = parse_config({"schema": {"allowed_keys": ["long_name", "unit"]}})
-    assert config.schema.allowed_keys == frozenset({"long_name", "unit"})
+    assert config.allowed_keys == frozenset({"long_name", "unit"})
     # The character limits and statement placeholders are fixed, not config.
     for key in ("char_limits", "statement_placeholders"):
         with pytest.raises(ConfigError, match=f"unknown config key 'schema.{key}'"):
@@ -115,6 +121,10 @@ def test_parse_config_schema_lists_and_limits():
         {"known_measures_file": 5},
         {"known_measures_file": "a\0b"},
         {"known_measures": ["a"], "known_measures_file": "missing.txt"},
+        {"metadata_filename": 5},
+        {"checks": {"T4": {"include": 0}}},
+        {"checks": {"T4": {"include": False}}},
+        {"checks": {"T4": {"exclude": {}}}},
     ],
 )
 def test_parse_config_shape_errors(raw):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint.errors import DuplicateKeyError, ParseError
 from commonslint.metadata import (
     MeasureEntry,
+    MeasureInfoFile,
     parse_measure_info,
     serialize_measure_info,
 )
@@ -45,6 +47,28 @@ def test_invalid_utf8_is_a_parse_error():
     with pytest.raises(ParseError) as excinfo:
         parse_measure_info(b'\xff\xfe{"a": 1}')
     assert excinfo.value.stage == "json"
+
+
+# Any bytes, or bytes behind a nesting prefix deep enough to exhaust the
+# decoder's recursion limit.
+_RAW = st.binary() | st.builds(
+    lambda prefix, depth, tail: prefix * depth + tail,
+    st.sampled_from([b"[", b'{"a":', b'{"m": {"sources": [']),
+    st.integers(min_value=0, max_value=5_000),
+    st.binary(max_size=16),
+)
+
+
+@settings(deadline=None)
+@given(raw=_RAW)
+@example(raw=b"[" * 5_000)
+@example(raw=b'{"a":' * 5_000)
+def test_parse_measure_info_returns_a_file_or_raises_parse_error(raw):
+    try:
+        info = parse_measure_info(raw)
+    except ParseError:
+        return
+    assert isinstance(info, MeasureInfoFile)
 
 
 @pytest.mark.parametrize(

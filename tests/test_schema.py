@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from commonslint.config import RepoConfig, default_config, parse_config
 from commonslint.metadata import MeasureEntry
 from commonslint.schema import (
     CORE_ELEMENTS,
-    SchemaConfig,
+    VOCABULARY_ELEMENTS,
     check_char_limits,
-    customized_schema,
-    default_schema,
     is_blank,
     validate_entry_keys,
 )
@@ -24,29 +23,30 @@ def test_core_elements_fixed():
     assert "categories" in CORE_ELEMENTS and "variants" in CORE_ELEMENTS
 
 
-def test_default_schema_loads_packaged_vocabularies():
-    schema = default_schema()
-    assert "percent" in schema.vocabulary("measure_type")
-    assert "county" in schema.vocabulary("region_type")
-    assert schema.vocabulary("no_such_element") == frozenset()
+def test_default_config_loads_packaged_vocabularies():
+    vocabularies = default_config().vocabularies
+    # Only the elements a check reads have a vocabulary.
+    assert set(vocabularies) == set(VOCABULARY_ELEMENTS)
+    assert "percent" in vocabularies["measure_type"]
+    assert "county" in vocabularies["region_type"]
 
 
 def test_expected_keys_exclude_dynamic_axes_by_default():
-    schema = SchemaConfig()
-    assert "categories" not in schema.expected_keys
-    assert "variants" not in schema.expected_keys
-    assert "categories" in schema.allowed_keys
+    config = RepoConfig()
+    assert "categories" not in config.expected_keys
+    assert "variants" not in config.expected_keys
+    assert "categories" in config.allowed_keys
 
 
 def test_validate_entry_keys_partitions_totally():
-    schema = default_schema()
+    config = default_config()
     complete = MeasureEntry(measure_id="m", data=clean_entry("m"))
-    report = validate_entry_keys(complete, schema)
+    report = validate_entry_keys(complete, config)
     assert report.clean
     assert set(report.allowed_present) == set(clean_entry("m"))
 
     odd = entry(short_name="", colour_scheme="viridis")
-    report = validate_entry_keys(odd, schema)
+    report = validate_entry_keys(odd, config)
     assert report.disallowed == ("colour_scheme",)
     assert "short_name" in report.blank
     assert "unit" in report.absent
@@ -54,10 +54,10 @@ def test_validate_entry_keys_partitions_totally():
 
 
 def test_absent_and_blank_are_distinct():
-    schema = default_schema()
-    absent = validate_entry_keys(entry(), schema)
+    config = default_config()
+    absent = validate_entry_keys(entry(), config)
     assert "unit" in absent.absent and "unit" not in absent.blank
-    blank = validate_entry_keys(entry(unit=""), schema)
+    blank = validate_entry_keys(entry(unit=""), config)
     assert "unit" in blank.blank and "unit" not in blank.absent
 
 
@@ -87,17 +87,11 @@ def test_char_limits_ignore_unlimited_and_non_string_fields():
     assert check_char_limits(entry(long_name=123456)) == []
 
 
-def test_customized_schema_merges_vocabularies_per_element():
-    base = default_schema()
-    custom = customized_schema(base, vocabularies={"region_type": ["state"]})
-    assert custom.vocabulary("region_type") == frozenset({"state"})
-    # Untouched vocabularies survive.
-    assert custom.vocabulary("measure_type") == base.vocabulary("measure_type")
-
-
-def test_customized_schema_overrides_keys():
-    custom = customized_schema(allowed_keys=["short_name"], expected_keys=["unit"])
-    assert custom.allowed_keys == frozenset({"short_name"})
-    assert custom.expected_keys == frozenset({"unit"})
+def test_parse_config_overrides_key_sets():
+    config = parse_config({"schema": {"allowed_keys": ["short_name"], "expected_keys": ["unit"]}})
+    assert config.allowed_keys == frozenset({"short_name"})
+    assert config.expected_keys == frozenset({"unit"})
     # Unmentioned defaults retained.
-    assert custom.vocabularies == default_schema().vocabularies
+    assert config.vocabularies == default_config().vocabularies
+    report = validate_entry_keys(entry(short_name="s", long_name="l"), config)
+    assert (report.disallowed, report.absent) == (("long_name",), ("unit",))
