@@ -21,7 +21,6 @@ frozen; the catalog starts at T2 and the gap is deliberate.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -232,65 +231,21 @@ class _Run:
 
 def _percent_items(table: DataTable, run: _Run) -> list[CheckItem]:
     """T2: percent-typed measures stay within 0-100 and are not 0-1 fractions."""
-    if "measure_type" not in table.columns:
-        return []
-    grouped: dict[str, list[str]] = {}
-    for row in table.rows:
-        if row.get("measure_type", "").strip().lower() != "percent":
-            continue
-        grouped.setdefault(row.get("measure", ""), []).append(row.get("value", ""))
-
     items: list[CheckItem] = []
-    for measure in sorted(grouped):
-        raw_values = [v for v in grouped[measure] if v is not None and v.strip() != ""]
-        values: list[float] = []
-        bad: str | None = None
-        for raw in raw_values:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = math.nan
-            # float() accepts "nan", which is no more a percent than "n/a".
-            if math.isnan(value):
-                bad = raw
-                break
-            values.append(value)
-        key = measure or None
-        if bad is not None:
-            items.append(
-                CheckItem(
-                    path=table.path,
-                    key=key,
-                    verdict="error",
-                    detail=f"non-numeric value {bad!r} for percent measure",
-                )
+    for measure in sorted(table.percent_measures):
+        stats = table.percent_measures[measure]
+        if stats.first_bad is not None:
+            verdict, detail = "error", f"non-numeric value {stats.first_bad!r} for percent measure"
+        elif stats.first_out is not None:
+            verdict, detail = "invalid", f"value {stats.first_out} outside the 0-100 percent range"
+        elif stats.all_fractions and stats.count >= run.config.fraction_min_rows:
+            verdict, detail = "invalid", (
+                f"suspected 0-1 fraction: all {stats.count} values fall within"
+                " [0, 1]; percents use the 0-100 scale"
             )
-            continue
-        out_of_range = [v for v in values if v < 0 or v > 100]
-        if out_of_range:
-            items.append(
-                CheckItem(
-                    path=table.path,
-                    key=key,
-                    verdict="invalid",
-                    detail=f"value {out_of_range[0]} outside the 0-100 percent range",
-                )
-            )
-            continue
-        if len(values) >= run.config.fraction_min_rows and all(0 <= v <= 1 for v in values):
-            items.append(
-                CheckItem(
-                    path=table.path,
-                    key=key,
-                    verdict="invalid",
-                    detail=(
-                        f"suspected 0-1 fraction: all {len(values)} values fall within"
-                        " [0, 1]; percents use the 0-100 scale"
-                    ),
-                )
-            )
-            continue
-        items.append(CheckItem(path=table.path, key=key, verdict="valid"))
+        else:
+            verdict, detail = "valid", ""
+        items.append(CheckItem(table.path, verdict, key=measure or None, detail=detail))
     return items
 
 

@@ -16,7 +16,7 @@ from .config import load_config
 from .errors import CommonsLintError
 from .expansion import expand_file
 from .fair import convert_checklist, read_assessment_file, score_assessment
-from .metadata import load_measure_info, parse_json, serialize_measure_info
+from .metadata import decode_utf8, load_measure_info, parse_json, serialize_measure_info
 from .reports import render_dictionary, render_fair, render_suite
 from .scanner import scan_repo
 
@@ -144,7 +144,8 @@ def cmd_fair(args: argparse.Namespace) -> int:
     if args.assessment:
         assessment = read_assessment_file(args.assessment)
     else:
-        raw = parse_json(Path(args.checklist).read_text("utf-8"), args.checklist)
+        text = decode_utf8(Path(args.checklist).read_bytes(), args.checklist)
+        raw = parse_json(text, args.checklist)
         if not isinstance(raw, dict):
             raise CommonsLintError("checklist must be a JSON object of principle -> category")
         assessment = convert_checklist(raw)

@@ -211,7 +211,9 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     if "optional" in columns:
         kwargs["optional_columns"] = _as_str_tuple(columns["optional"], "columns.optional")
     if "pattern" in naming:
-        kwargs["naming_pattern"] = str(naming["pattern"])
+        if not isinstance(naming["pattern"], str):
+            raise ConfigError("naming.pattern must be a string")
+        kwargs["naming_pattern"] = naming["pattern"]
         try:
             re.compile(kwargs["naming_pattern"])
         except re.error as exc:
@@ -240,6 +242,15 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     return RepoConfig(**kwargs)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's complaint on one line: what it found wrong, and where."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(exc).split())
+    what = ": ".join(part for part in (exc.context, exc.problem) if part)
+    return f"{what} (line {mark.line + 1}, column {mark.column + 1})"
+
+
 def load_config(config_path: str | Path | None = None, repo_root: str | Path | None = None) -> RepoConfig:
     """Load configuration from an explicit path or the repo root.
 
@@ -261,8 +272,10 @@ def load_config(config_path: str | Path | None = None, repo_root: str | Path | N
         return default_config()
     try:
         raw = yaml.safe_load(path.read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+        raise ConfigError(f"invalid YAML in {path}: {_yaml_problem(exc)}") from exc
     except RecursionError as exc:
         raise ConfigError(f"invalid YAML in {path}: nested too deeply") from exc
     return parse_config(raw, base_dir=path.parent)

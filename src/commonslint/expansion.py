@@ -9,6 +9,7 @@ per combination, so producers never hand-write the full cross product
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Mapping
@@ -20,6 +21,19 @@ CATEGORY_PLACEHOLDER = "{category}"
 VARIANT_PLACEHOLDER = "{variant}"
 
 _AXIS_PLACEHOLDER = {"categories": CATEGORY_PLACEHOLDER, "variants": VARIANT_PLACEHOLDER}
+
+# Echoes of offending axis values in error messages: reprlib bounds the
+# nesting and the items it visits, and _echo cuts the result to a fixed length.
+_ECHO_LIMIT = 80
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+_REPR.maxstring = _REPR.maxother = _ECHO_LIMIT
+
+
+def _echo(value: object) -> str:
+    """A repr of ``value`` no longer than _ECHO_LIMIT characters."""
+    text = _REPR.repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[: _ECHO_LIMIT - 1] + "…"
 
 
 @dataclass(frozen=True)
@@ -47,7 +61,7 @@ def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
     if isinstance(raw, list):
         for item in raw:
             if not isinstance(item, str):
-                raise ExpansionError(f"{axis} list items must be strings, got {item!r}")
+                raise ExpansionError(f"{axis} list items must be strings, got {_echo(item)}")
             specs.append(AxisSpec(token=item))
     elif isinstance(raw, dict):
         for token, overrides in raw.items():
@@ -55,7 +69,7 @@ def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
                 overrides = {}
             if not isinstance(overrides, dict):
                 raise ExpansionError(
-                    f"{axis}[{token!r}] overrides must be an object, got {overrides!r}"
+                    f"{axis}[{_echo(token)}] overrides must be an object, got {_echo(overrides)}"
                 )
             specs.append(AxisSpec(token=str(token), overrides=dict(overrides)))
     else:
@@ -64,7 +78,7 @@ def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
     seen: set[str] = set()
     for spec in specs:
         if spec.token in seen:
-            raise ExpansionError(f"duplicate {axis} token {spec.token!r}")
+            raise ExpansionError(f"duplicate {axis} token {_echo(spec.token)}")
         seen.add(spec.token)
     return specs
 

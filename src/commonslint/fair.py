@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, RegistryError, UnknownIndicatorError, UnknownPrincipleError
-from .metadata import parse_json
+from .metadata import decode_utf8, parse_json
 
 EXPECTED_INDICATOR_COUNT = 41
 PRIORITIES = ("Essential", "Important", "Useful")
@@ -206,11 +206,12 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
 
     JSON may be either a flat indicator-id → level map, or an object with a
     ``levels`` map plus optional ``assessor``/``date``. Tabular files need
-    ``indicator_id`` and ``level`` columns.
+    ``indicator_id`` and ``level`` columns. A file that is not UTF-8, or not
+    shaped like either form, is a ParseError.
     """
     file_path = Path(path)
     rel = str(file_path)
-    raw = file_path.read_text("utf-8")
+    raw = decode_utf8(file_path.read_bytes(), rel)
     if file_path.suffix.lower() == ".csv":
         reader = csv.DictReader(raw.splitlines())
         fields = reader.fieldnames or []

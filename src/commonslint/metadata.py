@@ -164,6 +164,14 @@ def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> An
         raise ParseError("nested too deeply", path=path) from exc
 
 
+def decode_utf8(raw: bytes, path: str | None = None) -> str:
+    """``raw`` decoded as UTF-8; ParseError (stage "json") when it is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
+
+
 def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> MeasureInfoFile:
     """Parse raw file content into a MeasureInfoFile.
 
@@ -174,13 +182,7 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
     file, and DuplicateKeyError when any object repeats a key. Unknown
     entry keys are preserved; rejecting them is validation's job.
     """
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
-    else:
-        text = raw
+    text = decode_utf8(raw, path) if isinstance(raw, bytes) else raw
     try:
         document = parse_json(text, path, object_pairs_hook=_reject_duplicates)
     except DuplicateKeyError as exc:

@@ -4,8 +4,10 @@ The walk is eager: ``scan_repo`` lists and classifies every file and reads
 none. The parsed views of the snapshot (measure_info files, data tables,
 JSON syntax verdicts) each read their files the first time they are
 accessed and keep the result, so a command reads only the files it uses,
-and each of them once. Parsing is lenient: failures are recorded in the
-view rather than raised, so a single bad file never aborts a suite run.
+and each of them once. A data table is read in one streaming pass that
+keeps no rows, only what the checks need. Parsing is lenient: failures are
+recorded in the view rather than raised, so a single bad file never aborts
+a suite run.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import csv
 import gzip
 import io
 import lzma
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from functools import cached_property
 from pathlib import Path, PurePosixPath
@@ -54,16 +57,88 @@ class ParseFailure:
     stage: str = "json"
 
 
+@dataclass(slots=True)
+class PercentStats:
+    """T2's aggregates over the non-blank values of one percent-typed measure.
+
+    ``first_bad`` is the first raw value that is non-numeric or NaN,
+    ``first_out`` the first number outside 0-100, and ``all_fractions``
+    whether every number lies in [0, 1]. None of them depends on the config.
+    """
+
+    count: int = 0
+    first_bad: str | None = None
+    first_out: float | None = None
+    all_fractions: bool = True
+
+    def add(self, raw: str) -> None:
+        """Fold one raw value in; a blank value is not counted."""
+        if not raw.strip():
+            return
+        self.count += 1
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        # float() accepts "nan", which is no more a percent than "n/a".
+        if math.isnan(value):
+            if self.first_bad is None:
+                self.first_bad = raw
+        elif not 0 <= value <= 100:
+            if self.first_out is None:
+                self.first_out = value
+            self.all_fractions = False
+        elif value > 1:
+            self.all_fractions = False
+
+
+@dataclass(frozen=True)
+class TableRows:
+    """The data rows of one table, as dicts, read from the file again on each iteration.
+
+    ``len()`` is the row count of the parse and reads nothing. The benchmark
+    tracer counts rows through it; remove it once the run counters live in
+    the library.
+    """
+
+    file_path: Path
+    columns: tuple[str, ...]
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        with _open_table(self.file_path) as handle:
+            reader = csv.reader(handle)
+            next(reader, None)
+            for row in reader:
+                if row:
+                    yield dict(zip(self.columns, row))
+
+
 @dataclass(frozen=True)
 class DataTable:
-    """A parsed tabular distribution file."""
+    """What one pass over a tabular distribution file gathers; no row is kept.
+
+    The ``distinct_*`` sets hold the raw values of their column, empty when
+    the table has no such column. ``percent_measures`` maps each measure
+    with at least one row whose ``measure_type`` is ``percent`` to its T2
+    aggregates. Where a header repeats a column name, the last one wins.
+    """
 
     path: str
     columns: tuple[str, ...]
-    rows: tuple[dict, ...] = ()
+    rows: TableRows
     distinct_measures: frozenset[str] = frozenset()
     distinct_measure_types: frozenset[str] = frozenset()
     distinct_region_types: frozenset[str] = frozenset()
+    percent_measures: dict[str, PercentStats] = field(default_factory=dict)
+
+    @property
+    def row_count(self) -> int:
+        """Data rows in the file, blank lines excluded."""
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -192,11 +267,13 @@ def _open_table(path: Path):
 
 
 def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
-    """Parse a tabular file into a DataTable.
+    """Read a tabular file in one streaming pass and return what it gathered.
 
     Compression suffixes layered over the tabular extension are handled
-    transparently. Raises ParseError for empty files and for ragged rows
-    (field count differing from the header).
+    transparently. No row is kept: the pass collects the columns, the row
+    count, the distinct measures, measure types and region types, and the
+    T2 aggregates of each percent-typed measure. Raises ParseError for empty
+    files and for ragged rows (field count differing from the header).
     """
     path = Path(file_path)
     try:
@@ -207,35 +284,60 @@ def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
             except StopIteration:
                 raise ParseError("empty file, no header row", path=rel_path, stage="csv")
             columns = tuple(col.strip() for col in header)
-            rows = []
+            width = len(columns)
+            # The last of a repeated column name wins.
+            index = {name: i for i, name in enumerate(columns)}
+            measure_i, type_i, region_i, value_i = (
+                index.get(name) for name in ("measure", "measure_type", "region_type", "value")
+            )
+            measures: set[str] = set()
+            region_types: set[str] = set()
+            # Each distinct measure type, and whether it reads as percent.
+            is_percent: dict[str, bool] = {}
+            percent: dict[str, PercentStats] = {}
+            row_count = 0
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != len(columns):
+                if len(row) != width:
                     raise ParseError(
-                        f"ragged row: {len(row)} fields, header has {len(columns)}",
+                        f"ragged row: {len(row)} fields, header has {width}",
                         path=rel_path,
                         line=line_no,
                         stage="csv",
                     )
-                rows.append(dict(zip(columns, row)))
+                row_count += 1
+                if measure_i is not None:
+                    measures.add(row[measure_i])
+                if region_i is not None:
+                    region_types.add(row[region_i])
+                if type_i is None:
+                    continue
+                measure_type = row[type_i]
+                percent_row = is_percent.get(measure_type)
+                if percent_row is None:
+                    percent_row = is_percent[measure_type] = (
+                        measure_type.strip().lower() == "percent"
+                    )
+                if percent_row:
+                    measure = "" if measure_i is None else row[measure_i]
+                    stats = percent.get(measure)
+                    if stats is None:
+                        stats = percent[measure] = PercentStats()
+                    stats.add("" if value_i is None else row[value_i])
     except OSError as exc:
         raise ParseError(f"unreadable: {exc}", path=rel_path, stage="csv") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"undecodable table: {exc}", path=rel_path, stage="csv") from exc
 
-    def distinct(column: str) -> frozenset[str]:
-        if column not in columns:
-            return frozenset()
-        return frozenset(row[column] for row in rows)
-
     return DataTable(
         path=rel_path,
         columns=columns,
-        rows=tuple(rows),
-        distinct_measures=distinct("measure"),
-        distinct_measure_types=distinct("measure_type"),
-        distinct_region_types=distinct("region_type"),
+        rows=TableRows(path, columns, row_count),
+        distinct_measures=frozenset(measures),
+        distinct_measure_types=frozenset(is_percent),
+        distinct_region_types=frozenset(region_types),
+        percent_measures=percent,
     )
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from commonslint.checks import (
     CHECK_NAMES,
@@ -17,7 +21,7 @@ from commonslint.cli import main
 from commonslint.config import default_config, parse_config
 from commonslint.errors import ConfigError, DomainError, ExpansionError
 from commonslint.expansion import expand_file
-from commonslint.scanner import scan_repo
+from commonslint.scanner import parse_data_table, scan_repo
 from repo_fixtures import (
     ABSENT,
     LONG_NAME_101,
@@ -181,6 +185,95 @@ def test_t2_ignores_non_percent_measures(tmp_path):
     write_table(tmp_path / "t.csv", [("01", "2021", "m", "5000", "count", "county")])
     (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T2")
     assert report.total == 0
+
+
+def _t2_oracle(path: Path, fraction_min_rows: int) -> list[CheckItem]:
+    """T2 items recomputed from csv.DictReader rows, no engine code."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    groups: dict[str, list[str]] = {}
+    for row in rows:
+        if row.get("measure_type", "").strip().lower() == "percent":
+            groups.setdefault(row.get("measure", ""), []).append(row.get("value", ""))
+    items = []
+    for measure in sorted(groups):
+        raw = [v for v in groups[measure] if v.strip()]
+        numbers = []
+        for v in raw:
+            try:
+                numbers.append(float(v))
+            except ValueError:
+                numbers.append(math.nan)
+        bad = [v for v, x in zip(raw, numbers) if math.isnan(x)]
+        out = [x for x in numbers if x < 0 or x > 100]
+        if bad:
+            verdict, detail = "error", f"non-numeric value {bad[0]!r} for percent measure"
+        elif out:
+            verdict, detail = "invalid", f"value {out[0]} outside the 0-100 percent range"
+        elif len(numbers) >= fraction_min_rows and all(0 <= x <= 1 for x in numbers):
+            verdict, detail = "invalid", (
+                f"suspected 0-1 fraction: all {len(numbers)} values fall within"
+                " [0, 1]; percents use the 0-100 scale"
+            )
+        else:
+            verdict, detail = "valid", ""
+        items.append(CheckItem(path.name, verdict, measure or None, detail))
+    return items
+
+
+_CELLS = {
+    "measure": st.sampled_from(["a", "b", ""]),
+    "measure_type": st.sampled_from(["percent", "Percent ", "count"]),
+    "geoid": st.sampled_from(["01", "02", ""]),
+    "region_type": st.sampled_from(["county", "state", ""]),
+}
+_VALUES = st.sampled_from(
+    ["", " ", "50", "12.5", "0", "100", "100.5", "-3", "1e2", "nan", "NaN", "inf", "-inf", "n/a"]
+) | st.floats(-10, 120).map(lambda x: f"{x:.2f}")
+_FRACTIONS = st.sampled_from(["", "0", "0.25", "0.5", "1", "1.0"])
+
+
+@st.composite
+def _tables(draw):
+    """A header (names may repeat or be missing) and rows, some after a blank line."""
+    dropped = draw(st.sampled_from([None, "measure", "measure_type", "value"]))
+    extra = draw(st.lists(st.sampled_from([*_CELLS, "value"]), max_size=3))
+    base = [c for c in ("measure", "measure_type", "value") if c != dropped]
+    header = draw(st.permutations(base + extra))
+    values = draw(st.sampled_from([_VALUES, _FRACTIONS]))
+    row = st.tuples(*(_CELLS.get(column, values) for column in header))
+    rows = draw(st.lists(row, max_size=12))
+    blanks = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return header, rows, blanks
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), fraction_min_rows=st.integers(1, 4))
+def test_t2_matches_a_dictreader_oracle(table, fraction_min_rows):
+    header, rows, blanks = table
+    config = parse_config({"fraction_min_rows": fraction_min_rows})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row, blank in zip(rows, blanks):
+                if blank:
+                    handle.write("\r\n")
+                writer.writerow(row)
+        (report,) = reports_for(scan_repo(tmp, config), config, "T2")
+        assert list(report.items) == _t2_oracle(path, fraction_min_rows)
+
+        parsed = parse_data_table(path, "t.csv")
+        with path.open(encoding="utf-8", newline="") as handle:
+            dict_rows = list(csv.DictReader(handle))
+        assert parsed.row_count == len(dict_rows)
+        for column, distinct in (
+            ("measure", parsed.distinct_measures),
+            ("measure_type", parsed.distinct_measure_types),
+            ("region_type", parsed.distinct_region_types),
+        ):
+            assert distinct == {row[column] for row in dict_rows if column in row}
 
 
 # ---------------------------------------------------------------- T3 / T7

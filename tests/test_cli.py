@@ -106,6 +106,7 @@ def test_check_tier_shown_per_line(clean_repo, capsys):
         "checks: {T99: {}}",
         "checks: {T2: {enforcement: yes}}",
         'naming: {pattern: "("}',
+        "a: [\n  b: c",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config):
@@ -335,6 +336,32 @@ def test_fair_missing_file_exits_2(tmp_path, capsys):
     code = main(["fair", "--assessment", str(tmp_path / "nope.json"), "--out", str(tmp_path / "f")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_yaml_error_names_line_and_column(tmp_path, capsys):
+    (tmp_path / ".commonslint.yml").write_text("a: [\n  b: c\n", encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path), "--no-reports"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.endswith("expected ',' or ']', but got '<stream end>' (line 3, column 1)\n")
+
+
+@pytest.mark.parametrize("command", ["config", "checklist", "assessment", "assessment_csv"])
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / {"config": "c.yml", "assessment_csv": "a.csv"}.get(command, "a.json")
+    path.write_bytes(b"\xff\xfe\x00")
+    out = str(tmp_path / "f")
+    argv = {
+        "config": ["check", "--repo", str(tmp_path), "--config", str(path), "--no-reports"],
+        "checklist": ["fair", "--checklist", str(path), "--out", out],
+        "assessment": ["fair", "--assessment", str(path), "--out", out],
+        "assessment_csv": ["fair", "--assessment", str(path), "--out", out],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not valid UTF-8" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- nesting

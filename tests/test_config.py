@@ -125,6 +125,7 @@ def test_parse_config_schema_lists_and_limits():
         {"checks": {"T4": {"include": 0}}},
         {"checks": {"T4": {"include": False}}},
         {"checks": {"T4": {"exclude": {}}}},
+        {"naming": {"pattern": 5}},
     ],
 )
 def test_parse_config_shape_errors(raw):

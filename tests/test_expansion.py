@@ -98,6 +98,38 @@ def test_axis_shape_errors(raw):
         parse_axis(raw, "variants")
 
 
+def _nested(depth: int) -> list:
+    item: list = []
+    for _ in range(depth):
+        item = [item]
+    return item
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        ["a", _nested(950)],
+        ["a", list(range(5000))],
+        {"a": list(range(5000))},
+        {"y" * 5000: 1},
+        ["z" * 5000, "z" * 5000],
+    ],
+    ids=["deep item", "long item", "long overrides", "long token", "long duplicate"],
+)
+def test_axis_errors_echo_a_capped_value(raw):
+    with pytest.raises(ExpansionError) as excinfo:
+        parse_axis(raw, "categories")
+    message = str(excinfo.value)
+    assert message.startswith(("categories", "duplicate categories"))
+    assert len(message) < 200
+
+
+def test_axis_errors_echo_a_short_value_whole():
+    with pytest.raises(ExpansionError) as excinfo:
+        parse_axis({"a": ["b", 1]}, "variants")
+    assert str(excinfo.value) == "variants['a'] overrides must be an object, got ['b', 1]"
+
+
 def test_parse_axis_empty_forms():
     assert parse_axis(None, "categories") == []
     assert parse_axis([], "categories") == []

@@ -119,9 +119,11 @@ def test_parse_data_table_basic(tmp_path):
     write_table(path, [("01", "2021", "m", "1.5", "percent", "county")])
     table = parse_data_table(path, "t.csv")
     assert table.columns == ("geoid", "year", "measure", "value", "measure_type", "region_type")
-    assert table.rows[0]["measure"] == "m"
+    assert table.row_count == 1
+    assert [row["measure"] for row in table.rows] == ["m"]
     assert table.distinct_measures == {"m"}
     assert table.distinct_measure_types == {"percent"}
+    assert table.distinct_region_types == {"county"}
 
 
 def test_parse_data_table_gzip_transparent(tmp_path):
@@ -131,7 +133,40 @@ def test_parse_data_table_gzip_transparent(tmp_path):
         handle.write(content)
     table = parse_data_table(path, "t.csv.gz")
     assert table.columns == ("geoid", "measure", "value")
-    assert table.rows[0]["value"] == "2"
+    assert table.row_count == 1
+    assert table.distinct_measures == {"m"}
+    assert [row["value"] for row in table.rows] == ["2"]
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.csv.gz"])
+def test_rows_len_is_the_data_row_count_without_rereading(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    content = "measure,value\n\nm,1\nm,2\n\n\nn,3\n"
+    if name.endswith(".gz"):
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as handle:
+            handle.write(content)
+    else:
+        path.write_text(content, encoding="utf-8", newline="")
+    table = parse_data_table(path, name)
+    path.unlink()
+    # The length comes from the parse; the file is gone.
+    assert len(table.rows) == table.row_count == 3
+
+
+def test_parse_data_table_last_duplicate_column_wins(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "measure,measure_type,value,measure,measure_type\n"
+        "a,count,5,b,percent\n"
+        "a,percent,500,c,count\n",
+        encoding="utf-8",
+    )
+    table = parse_data_table(path, "t.csv")
+    assert table.distinct_measures == {"b", "c"}
+    assert table.distinct_measure_types == {"percent", "count"}
+    assert table.distinct_region_types == frozenset()
+    assert list(table.percent_measures) == ["b"]
+    assert table.percent_measures["b"].first_out is None
 
 
 def test_parse_data_table_strips_bom(tmp_path):
