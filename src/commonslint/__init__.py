@@ -27,17 +27,15 @@ from .errors import (
     ExpansionError,
     ParseError,
     RegistryError,
-    RenderError,
     UnknownIndicatorError,
     UnknownPrincipleError,
 )
-from .expansion import expand_dynamic, expand_file, parse_axis
+from .expansion import expand_dynamic, expand_file
 from .fair import (
     FairAssessment,
     FairReport,
     Indicator,
     convert_checklist,
-    load_indicator_registry,
     read_assessment_file,
     score_assessment,
 )
@@ -49,9 +47,8 @@ from .metadata import (
     serialize_measure_info,
 )
 from .reports import render_dictionary, render_fair, render_suite
-from .scanner import ClassifiedFile, DataTable, RepoSnapshot, parse_data_table, scan_repo
-from .schema import CORE_ELEMENTS, check_char_limits, validate_entry_keys
-from .statements import extract_placeholders, format_value, render_statement
+from .scanner import ClassifiedFile, DataTable, RepoSnapshot, scan_repo
+from .schema import CORE_ELEMENTS, validate_entry_keys
 
 __version__ = "1.0.0"
 
@@ -77,36 +74,27 @@ __all__ = [
     "MeasureInfoFile",
     "ParseError",
     "RegistryError",
-    "RenderError",
     "RepoConfig",
     "RepoSnapshot",
     "SuiteReport",
     "UnknownIndicatorError",
     "UnknownPrincipleError",
-    "check_char_limits",
     "convert_checklist",
     "default_config",
     "expand_dynamic",
     "expand_file",
-    "extract_placeholders",
     "format_percentage",
-    "format_value",
     "load_config",
-    "load_indicator_registry",
     "load_measure_info",
-    "parse_axis",
     "parse_config",
-    "parse_data_table",
     "parse_measure_info",
     "read_assessment_file",
     "render_dictionary",
     "render_fair",
-    "render_statement",
     "render_suite",
     "run_suite",
     "scan_repo",
     "score_assessment",
     "serialize_measure_info",
     "validate_entry_keys",
-    "__version__",
 ]

@@ -85,8 +85,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"{report.check.id} {report.check.name}: {report.summary_line()} [{tier}]")
     print(f"overall: {'pass' if suite.overall_pass else 'fail'}")
     if not args.no_reports:
-        bundle = render_suite(suite, args.out)
-        print(f"reports written to {bundle.outdir}/ ({len(bundle.filenames)} files)")
+        filenames = render_suite(suite, args.out)
+        print(f"reports written to {Path(args.out)}/ ({len(filenames)} files)")
     return EXIT_PASS if suite.overall_pass else EXIT_FAILURES
 
 
@@ -124,7 +124,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     out_path = Path(args.outfile)
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(serialize_measure_info(expanded), encoding="utf-8")
+    out_path.write_text(
+        serialize_measure_info(expanded), encoding="utf-8", errors="backslashreplace"
+    )
     print(f"expanded {len(info.entries)} entries into {len(expanded.entries)} ({out_path})")
     return EXIT_PASS
 

@@ -47,10 +47,6 @@ class DuplicateKeyError(ParseError):
         self.key = key
 
 
-class RenderError(CommonsLintError):
-    """A statement template could not be rendered."""
-
-
 class ExpansionError(CommonsLintError):
     """A dynamic metadata entry could not be expanded."""
 

@@ -146,14 +146,20 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
         cat_token = cat.token if cat else None
         var_token = var.token if var else None
         new_id = _substitute(entry.measure_id, cat_token, var_token)
-        data = {k: _substitute(v, cat_token, var_token) for k, v in base.items()}
-        for spec in (cat, var):
-            if spec is None:
-                continue
-            for element, text in spec.overrides.items():
-                data[element] = _substitute(text, cat_token, var_token)
-
-        marker = _find_residue(new_id) or _find_residue(data)
+        # Both walks recurse about twice per level of nesting, so a value the
+        # JSON decoder accepted can still be too deep for them.
+        try:
+            data = {k: _substitute(v, cat_token, var_token) for k, v in base.items()}
+            for spec in (cat, var):
+                if spec is None:
+                    continue
+                for element, text in spec.overrides.items():
+                    data[element] = _substitute(text, cat_token, var_token)
+            marker = _find_residue(new_id) or _find_residue(data)
+        except RecursionError:
+            raise ExpansionError(
+                f"dynamic entry {_echo(entry.measure_id)} nested too deeply"
+            ) from None
         if marker:
             raise ExpansionError(
                 f"unsubstituted placeholder {marker} remains in expansion of"

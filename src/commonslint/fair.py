@@ -36,7 +36,6 @@ GUIDING_PRINCIPLES = (
 )
 
 # Three-category self-evaluation rubric → maturity level.
-CHECKLIST_CATEGORIES = ("Achieving", "WorkingTowards", "NotAddressing")
 DEFAULT_CHECKLIST_LEVELS = {"Achieving": 4, "WorkingTowards": 2, "NotAddressing": 1}
 
 _PRIORITY_RANK = {p: i for i, p in enumerate(PRIORITIES)}
@@ -190,6 +189,11 @@ def convert_checklist(checklist: dict[str, str]) -> FairAssessment:
     for principle, category in checklist.items():
         if principle not in GUIDING_PRINCIPLES:
             raise UnknownPrincipleError(f"unknown guiding principle: {principle}")
+        if not isinstance(category, str):
+            raise UnknownPrincipleError(
+                f"checklist category for {principle} must be a string,"
+                f" got {type(category).__name__}"
+            )
         if category not in DEFAULT_CHECKLIST_LEVELS:
             raise UnknownPrincipleError(
                 f"unknown checklist category {category!r} for {principle};"

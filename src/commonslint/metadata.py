@@ -4,8 +4,7 @@ A measure_info file is a JSON object mapping measure ids to metadata
 entries, with an optional reserved ``_references`` block holding the
 bibliography. Entries keep their raw key/value data verbatim so that
 unknown keys, nulls and legacy shapes survive a parse/serialize round
-trip untouched; typed views (sources, layer, citations) normalize on
-read only.
+trip untouched; typed views (sources, citations) normalize on read only.
 
 ``parse_json`` is the package's one JSON reader, so malformed or too deeply
 nested JSON input is a ParseError in every command.
@@ -29,15 +28,6 @@ class SourceRef:
     url: str | None = None
     location: str | None = None
     date_accessed: str | None = None
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LayerRef:
-    """Pointer to a geographic overlay file shown with the measure."""
-
-    source: str
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -46,9 +36,6 @@ class ReferenceEntry:
 
     ref_id: str
     fields: dict = field(default_factory=dict)
-
-
-_KNOWN_SOURCE_KEYS = ("name", "url", "location", "date_accessed")
 
 
 @dataclass(frozen=True)
@@ -88,32 +75,15 @@ class MeasureEntry:
         for item in items:
             if not isinstance(item, dict):
                 continue
-            extras = {k: v for k, v in item.items() if k not in _KNOWN_SOURCE_KEYS}
             out.append(
                 SourceRef(
                     name=str(item.get("name", "")),
                     url=item.get("url"),
                     location=item.get("location"),
                     date_accessed=_as_opt_str(item.get("date_accessed")),
-                    extras=extras,
                 )
             )
         return out
-
-    @property
-    def layer(self) -> LayerRef | None:
-        raw = self.data.get("layer")
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return LayerRef(source=raw) if raw else None
-        if isinstance(raw, dict):
-            source = raw.get("source")
-            if not source:
-                return None
-            extras = {k: v for k, v in raw.items() if k != "source"}
-            return LayerRef(source=str(source), extras=extras)
-        return None
 
 
 def _as_opt_str(value: Any) -> str | None:

@@ -55,8 +55,16 @@ def _page(title: str, body: str) -> str:
 
 def _atomic_write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # A lone surrogate (from an undecodable file name or a JSON escape) cannot
+    # be encoded; it is written as its backslash escape, which a JSON string
+    # reads back as the same character.
     handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
+        "w",
+        encoding="utf-8",
+        errors="backslashreplace",
+        dir=path.parent,
+        prefix=f".{path.name}.",
+        delete=False,
     )
     try:
         with handle:
@@ -72,20 +80,6 @@ def _dump_json(payload: object) -> str:
 
 
 # ---------------------------------------------------------------- suite
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """Everything render_suite wrote: check pages, index, JSON sidecar."""
-
-    outdir: str
-    pages: tuple[tuple[str, str], ...]
-    index: tuple[str, str]
-    sidecar: tuple[str, str]
-
-    @property
-    def filenames(self) -> list[str]:
-        return [name for name, _ in self.pages] + [self.index[0], self.sidecar[0]]
 
 
 def suite_to_payload(suite: SuiteReport) -> dict:
@@ -156,17 +150,21 @@ def _check_page(report, enforcement: str) -> str:
     return _page(f"{report.check.name} [{cid}]", body)
 
 
-def render_suite(suite: SuiteReport, outdir: str | Path) -> ReportBundle:
-    """Write one HTML page per check, an index page, and suite.json."""
+def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
+    """Write one HTML page per check, an index page, and suite.json.
+
+    Returns the filenames written, check pages first, in write order.
+    """
     out = Path(outdir)
 
-    pages: list[tuple[str, str]] = []
+    filenames: list[str] = []
     index_lines = []
     for report in suite.reports:
         cid = report.check.id
         enforcement = suite.enforcement.get(cid, "enforced")
         filename = f"{report.check.name}.html"
-        pages.append((filename, _check_page(report, enforcement)))
+        _atomic_write(out / filename, _check_page(report, enforcement))
+        filenames.append(filename)
         index_lines.append(
             f'    <li id="line-{cid}"><a href="{filename}">{escape(report.check.name)}</a>'
             f" [{cid}]: {escape(report.summary_line())} &middot; {escape(enforcement)}</li>\n"
@@ -180,15 +178,9 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> ReportBundle:
         "  <ul>\n" + "".join(index_lines) + "  </ul>\n"
         '  <p>Machine-readable results: <a href="suite.json">suite.json</a></p>\n'
     )
-    index = ("index.html", _page("Check suite report", index_body))
-
-    sidecar = ("suite.json", _dump_json(suite_to_payload(suite)))
-
-    for filename, content in [*pages, index, sidecar]:
-        _atomic_write(out / filename, content)
-    return ReportBundle(
-        outdir=str(out), pages=tuple(pages), index=index, sidecar=sidecar
-    )
+    _atomic_write(out / "index.html", _page("Check suite report", index_body))
+    _atomic_write(out / "suite.json", _dump_json(suite_to_payload(suite)))
+    return [*filenames, "index.html", "suite.json"]
 
 
 # ---------------------------------------------------------------- dictionary

@@ -296,14 +296,14 @@ def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
             is_percent: dict[str, bool] = {}
             percent: dict[str, PercentStats] = {}
             row_count = 0
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
                     raise ParseError(
                         f"ragged row: {len(row)} fields, header has {width}",
                         path=rel_path,
-                        line=line_no,
+                        line=reader.line_num,
                         stage="csv",
                     )
                 row_count += 1

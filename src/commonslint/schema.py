@@ -47,10 +47,6 @@ CHAR_LIMITS: dict[str, int] = {
     "short_description": 100,
 }
 
-DEFAULT_STATEMENT_PLACEHOLDERS: frozenset[str] = frozenset(
-    {"value", "region.name", "year"}
-)
-
 # File-level key reserved for the bibliography block.
 REFERENCES_KEY = "_references"
 
@@ -62,17 +58,11 @@ def is_blank(value: object) -> bool:
 
 @dataclass(frozen=True)
 class KeyReport:
-    """Partition of one entry's keys against the schema."""
+    """One entry's keys that break the schema: T3 reads ``disallowed``, T7 the rest."""
 
-    measure_id: str
-    allowed_present: tuple[str, ...]
     disallowed: tuple[str, ...]
     absent: tuple[str, ...]
     blank: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not (self.disallowed or self.absent or self.blank)
 
 
 @dataclass(frozen=True)
@@ -83,15 +73,13 @@ class LimitViolation:
 
 
 def validate_entry_keys(entry, config: RepoConfig) -> KeyReport:
-    """Partition an entry's keys into allowed / disallowed / absent / blank.
+    """An entry's disallowed keys, and its expected keys that are absent or blank.
 
     Total: never raises, whatever the key set. Absence (key missing) and
     blankness (key present with an empty value) are reported separately.
     """
     allowed, expected, data = config.allowed_keys, config.expected_keys, entry.data
     return KeyReport(
-        measure_id=entry.measure_id,
-        allowed_present=tuple(k for k in data if k in allowed),
         disallowed=tuple(k for k in data if k not in allowed),
         absent=tuple(sorted(expected.difference(data))),
         blank=tuple(sorted(k for k in expected.intersection(data) if is_blank(data[k]))),

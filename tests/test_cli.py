@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -327,6 +328,14 @@ def test_fair_unknown_indicator_exits_2(tmp_path, capsys):
     assert "unknown indicator" in capsys.readouterr().err
 
 
+def test_fair_non_string_checklist_category_exits_2(tmp_path, capsys):
+    path = tmp_path / "checklist.json"
+    path.write_text(json.dumps({"F1": {"a": 1}}), encoding="utf-8")
+    code = main(["fair", "--checklist", str(path), "--out", str(tmp_path / "f")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: checklist category for F1 must be a string, got dict\n"
+
+
 def test_fair_requires_a_source():
     with pytest.raises(SystemExit):
         main(["fair"])
@@ -368,6 +377,10 @@ def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
 
 # Deep enough to exhaust the JSON and YAML decoders' recursion limits.
 DEEP = "[" * 100_000
+# A dynamic entry the JSON decoder accepts but expansion cannot walk.
+DEEP_DYNAMIC = '{"m_{category}": {"categories": ["a"], "statement": %s}}' % (
+    "[" * 600 + "]" * 600
+)
 
 
 def test_check_reports_deeply_nested_json_as_invalid(clean_repo, tmp_path, capsys):
@@ -389,13 +402,16 @@ def test_check_reports_deeply_nested_json_as_invalid(clean_repo, tmp_path, capsy
     }
 
 
-@pytest.mark.parametrize("command", ["config", "expand", "checklist", "assessment"])
+@pytest.mark.parametrize(
+    "command", ["config", "expand", "checklist", "assessment", "expand_dynamic"]
+)
 def test_deeply_nested_input_exits_2_with_one_line(tmp_path, capsys, command):
     path = tmp_path / ("input.yml" if command == "config" else "input.json")
-    path.write_text(DEEP, encoding="utf-8")
+    path.write_text(DEEP_DYNAMIC if command == "expand_dynamic" else DEEP, encoding="utf-8")
     argv = {
         "config": ["check", "--repo", str(tmp_path), "--config", str(path), "--no-reports"],
         "expand": ["expand", "--in", str(path), "--out", str(tmp_path / "o.json")],
+        "expand_dynamic": ["expand", "--in", str(path), "--out", str(tmp_path / "o.json")],
         "checklist": ["fair", "--checklist", str(path), "--out", str(tmp_path / "f")],
         "assessment": ["fair", "--assessment", str(path), "--out", str(tmp_path / "f")],
     }[command]
@@ -404,6 +420,61 @@ def test_deeply_nested_input_exits_2_with_one_line(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error: ") and err.endswith("nested too deeply\n")
     assert err.count("\n") == 1
+
+
+def test_check_reports_a_too_deep_dynamic_entry_under_t14(tmp_path, capsys):
+    info = tmp_path / "data" / "distribution" / "measure_info.json"
+    info.parent.mkdir(parents=True)
+    info.write_text(DEEP_DYNAMIC, encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    (t14,) = [c for c in payload["checks"] if c["id"] == "T14"]
+    assert t14["items"] == [
+        {
+            "path": "data/distribution/measure_info.json",
+            "key": "m_{category}",
+            "verdict": "error",
+            "detail": "dynamic entry could not be expanded:"
+            " dynamic entry 'm_{category}' nested too deeply",
+        }
+    ]
+
+
+# ---------------------------------------------------------------- unencodable text
+
+
+def test_check_reports_an_undecodable_file_name(tmp_path, capsys):
+    dataset = tmp_path / "data" / "distribution"
+    dataset.mkdir(parents=True)
+    try:
+        with open(os.path.join(os.fsencode(dataset), b"\xffbad.csv"), "wb") as handle:
+            handle.write(b"a,b\n1,2\n")
+    except OSError:
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    code = main(["check", "--repo", str(tmp_path), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    paths = {item["path"] for check in payload["checks"] for item in check["items"]}
+    assert "data/distribution/\udcffbad.csv" in paths
+
+
+def test_lone_surrogate_measure_id_is_written_escaped(tmp_path, capsys):
+    info = tmp_path / "data" / "distribution" / "measure_info.json"
+    info.parent.mkdir(parents=True)
+    info.write_text('{"m\\udcff": {}}', encoding="utf-8")
+    assert main(["check", "--repo", str(tmp_path), "--out", str(tmp_path / "r")]) == 1
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    keys = {item["key"] for check in payload["checks"] for item in check["items"]}
+    assert "m\udcff" in keys
+    assert main(["dict", "--repo", str(tmp_path), "--out", str(tmp_path / "d")]) == 0
+    assert "m\\udcff" in (tmp_path / "d" / "measures" / "m.html").read_text("utf-8")
+    out = tmp_path / "o.json"
+    assert main(["expand", "--in", str(info), "--out", str(out)]) == 0
+    assert list(load_measure_info(out).entries) == ["m\udcff"]
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- parser

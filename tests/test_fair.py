@@ -240,6 +240,10 @@ def test_convert_checklist_rejects_unknowns():
         convert_checklist({"F9": "Achieving"})
     with pytest.raises(UnknownPrincipleError):
         convert_checklist({"F1": "Excelling"})
+    with pytest.raises(UnknownPrincipleError, match="for F1 must be a string, got list"):
+        convert_checklist({"F1": []})
+    with pytest.raises(UnknownPrincipleError, match="for F1 must be a string, got dict"):
+        convert_checklist({"F1": {"a": 1}})
 
 
 # ---------------------------------------------------------------- assessment files

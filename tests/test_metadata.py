@@ -9,6 +9,7 @@ from commonslint.errors import DuplicateKeyError, ParseError
 from commonslint.metadata import (
     MeasureEntry,
     MeasureInfoFile,
+    SourceRef,
     parse_measure_info,
     serialize_measure_info,
 )
@@ -123,21 +124,12 @@ def test_sources_normalizes_single_object_and_splits_extras():
             }
         },
     )
-    (src,) = entry.sources
-    assert src.name == "ACS"
-    assert src.location == "Table B28001"
-    assert src.extras == {"publisher": "Census"}
-
-
-def test_layer_accepts_string_and_object():
-    as_str = MeasureEntry(measure_id="m", data={"layer": "https://example.org/x.geojson"})
-    assert as_str.layer.source == "https://example.org/x.geojson"
-    as_obj = MeasureEntry(
-        measure_id="m", data={"layer": {"source": "https://example.org/y.geojson", "filter": "f"}}
-    )
-    assert as_obj.layer.source == "https://example.org/y.geojson"
-    assert as_obj.layer.extras == {"filter": "f"}
-    assert MeasureEntry(measure_id="m", data={}).layer is None
+    # Keys outside the four known ones are left in the raw data only.
+    assert entry.sources == [
+        SourceRef(
+            name="ACS", url="https://example.org", location="Table B28001", date_accessed="2022"
+        )
+    ]
 
 
 def test_serialize_round_trip_structural_equality():

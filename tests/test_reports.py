@@ -71,12 +71,13 @@ def read_tree(outdir: Path) -> dict[str, bytes]:
 def test_render_suite_inventory(planted_repo, tmp_path):
     root, _ = planted_repo
     suite = run_suite(scan_repo(root, CONFIG), CONFIG)
-    bundle = render_suite(suite, tmp_path / "out")
+    filenames = render_suite(suite, tmp_path / "out")
     expected = {f"{name}.html" for name in CHECK_NAMES.values()} | {
         "index.html",
         "suite.json",
     }
-    assert set(bundle.filenames) == expected
+    assert len(filenames) == len(expected)
+    assert set(filenames) == expected
     assert set(read_tree(tmp_path / "out")) == expected
 
 
@@ -130,8 +131,7 @@ def test_summary_percentage_format(tmp_path):
 
 def test_empty_suite_renders_no_check_pages(tmp_path):
     suite = run_suite(scan_repo(tmp_path, CONFIG), CONFIG, selected=set())
-    bundle = render_suite(suite, tmp_path / "out")
-    assert bundle.pages == ()
+    assert render_suite(suite, tmp_path / "out") == ["index.html", "suite.json"]
     html_files = [p.name for p in (tmp_path / "out").glob("*.html")]
     assert html_files == ["index.html"]
     assert json.loads((tmp_path / "out" / "suite.json").read_text("utf-8"))["checks"] == []

@@ -177,11 +177,13 @@ def test_parse_data_table_strips_bom(tmp_path):
 
 def test_parse_data_table_ragged_row(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2\n", encoding="utf-8")
-    with pytest.raises(ParseError) as excinfo:
-        parse_data_table(path, "t.csv")
-    assert excinfo.value.stage == "csv"
-    assert excinfo.value.line == 2
+    # The line is the file line the ragged row ends on, past quoted newlines.
+    for text, line in [("a,b,c\n1,2\n", 2), ('a,b\n"x\ny",1\n1,2,3\n', 4)]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            parse_data_table(path, "t.csv")
+        assert excinfo.value.stage == "csv"
+        assert excinfo.value.line == line
 
 
 def test_parse_data_table_empty_file(tmp_path):

@@ -42,15 +42,13 @@ def test_validate_entry_keys_partitions_totally():
     config = default_config()
     complete = MeasureEntry(measure_id="m", data=clean_entry("m"))
     report = validate_entry_keys(complete, config)
-    assert report.clean
-    assert set(report.allowed_present) == set(clean_entry("m"))
+    assert report.disallowed == report.absent == report.blank == ()
 
     odd = entry(short_name="", colour_scheme="viridis")
     report = validate_entry_keys(odd, config)
     assert report.disallowed == ("colour_scheme",)
     assert "short_name" in report.blank
     assert "unit" in report.absent
-    assert not report.clean
 
 
 def test_absent_and_blank_are_distinct():
