@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .config import RepoConfig, default_config
 from .errors import ConfigError, DomainError, ExpansionError
@@ -138,58 +138,6 @@ def _ancestor_dirs(path: str):
     yield ""
 
 
-@dataclass(frozen=True)
-class _Pairing:
-    """Nearest-ancestor association of parsed data tables with measure_info files."""
-
-    # table path → ("ok", info path) | ("none", "") | ("ambiguous", dir) | ("broken", info path)
-    table_status: dict[str, tuple[str, str]]
-    # info path → tables it governs (only unambiguous, parsed infos)
-    info_tables: dict[str, list[DataTable]]
-    # dirs holding more than one measure_info file
-    ambiguous_dirs: dict[str, list[str]]
-    # parsed info path → its expanded ids and per-entry failures
-    expanded: dict[str, tuple[set[str], list[tuple[str, str]]]]
-
-
-def _pair_tables(snapshot: RepoSnapshot) -> _Pairing:
-    info_by_dir: dict[str, list] = {}
-    for info in snapshot.measure_info_files:
-        info_by_dir.setdefault(_dir_of(info.path), []).append(info)
-
-    ambiguous_dirs = {
-        d: sorted(i.path for i in infos)
-        for d, infos in info_by_dir.items()
-        if len(infos) > 1
-    }
-
-    table_status: dict[str, tuple[str, str]] = {}
-    info_tables: dict[str, list[DataTable]] = {
-        info.path: [] for info in snapshot.measure_info_files
-    }
-    for table in snapshot.parsed_tables:
-        status: tuple[str, str] = ("none", "")
-        for ancestor in _ancestor_dirs(table.path):
-            infos = info_by_dir.get(ancestor)
-            if not infos:
-                continue
-            if len(infos) > 1:
-                status = ("ambiguous", ancestor)
-            elif isinstance(infos[0], ParseFailure):
-                status = ("broken", infos[0].path)
-            else:
-                status = ("ok", infos[0].path)
-                info_tables[infos[0].path].append(table)
-            break
-        table_status[table.path] = status
-    return _Pairing(
-        table_status=table_status,
-        info_tables=info_tables,
-        ambiguous_dirs=ambiguous_dirs,
-        expanded={info.path: _expanded_ids(info) for info in snapshot.parsed_measure_infos},
-    )
-
-
 def _expanded_ids(info: MeasureInfoFile) -> tuple[set[str], list[tuple[str, str]]]:
     """Concrete measure ids after dynamic expansion, plus per-entry failures.
 
@@ -215,15 +163,70 @@ def _expanded_ids(info: MeasureInfoFile) -> tuple[set[str], list[tuple[str, str]
 
 
 class _Run:
-    """What the checks of one run_suite call share."""
+    """What the checks of one run_suite call share, each view built on first use.
+
+    A parsed data table pairs with the measure_info files of its nearest
+    ancestor directory that holds any; T5 and T14 judge that pairing.
+    """
 
     def __init__(self, snapshot: RepoSnapshot, config: RepoConfig) -> None:
         self.snapshot = snapshot
         self.config = config
 
     @cached_property
-    def pairing(self) -> _Pairing:
-        return _pair_tables(self.snapshot)
+    def infos_by_dir(self) -> dict[str, list[MeasureInfoFile | ParseFailure]]:
+        """The measure_info files, parsed or not, of each directory that holds any."""
+        by_dir: dict[str, list[MeasureInfoFile | ParseFailure]] = {}
+        for info in self.snapshot.measure_info_files:
+            by_dir.setdefault(_dir_of(info.path), []).append(info)
+        return by_dir
+
+    @cached_property
+    def governing(self) -> dict[str, list[MeasureInfoFile | ParseFailure]]:
+        """Per parsed table path, the files of its nearest ancestor dir holding any."""
+        by_dir = self.infos_by_dir
+        return {
+            table.path: next((by_dir[d] for d in _ancestor_dirs(table.path) if d in by_dir), [])
+            for table in self.snapshot.parsed_tables
+        }
+
+    @cached_property
+    def governed_tables(self) -> dict[str, list[DataTable]]:
+        """Per measure_info file that alone governs tables, those tables."""
+        governed: dict[str, list[DataTable]] = {}
+        for table in self.snapshot.parsed_tables:
+            infos = self.governing[table.path]
+            if len(infos) == 1:
+                governed.setdefault(infos[0].path, []).append(table)
+        return governed
+
+    @cached_property
+    def expanded(self) -> dict[str, tuple[set[str], list[tuple[str, str]]]]:
+        """Per parsed measure_info path, its expanded ids and per-entry failures."""
+        return {info.path: _expanded_ids(info) for info in self.snapshot.parsed_measure_infos}
+
+
+def _membership_items(
+    path: str,
+    values: Iterable[str],
+    known: Container[str],
+    verdict: str,
+    detail: Callable[[str], str],
+):
+    """One item per value, in sorted order: valid when ``known`` holds it, else
+    ``verdict`` with the detail ``detail(value)``."""
+    for value in sorted(values):
+        if value in known:
+            yield CheckItem(path=path, key=value, verdict="valid")
+        else:
+            yield CheckItem(path=path, key=value, verdict=verdict, detail=detail(value))
+
+
+def _problem_item(path: str, problems: list[str], key: str | None = None) -> CheckItem:
+    """Valid when there is no problem, else invalid with the problems joined."""
+    if problems:
+        return CheckItem(path=path, key=key, verdict="invalid", detail="; ".join(problems))
+    return CheckItem(path=path, key=key, verdict="valid")
 
 
 # ---------------------------------------------------------------- T2
@@ -256,28 +259,16 @@ def _allowed_key_items(info: MeasureInfoFile, run: _Run):
     """T3: entries and the reserved references block use only allowable keys."""
     for measure_id, entry in info.entries.items():
         disallowed = sorted(validate_entry_keys(entry, run.config).disallowed)
+        problems = []
         if disallowed:
-            yield CheckItem(
-                path=info.path,
-                key=measure_id,
-                verdict="invalid",
-                detail=f"keys outside the allowable list: {', '.join(disallowed)}",
-            )
-        else:
-            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
+            problems.append(f"keys outside the allowable list: {', '.join(disallowed)}")
+        yield _problem_item(info.path, problems, key=measure_id)
 
     if info.references is not None:
         # The bibliography block is reserved structure, not a measure entry.
         empty = sorted(r.ref_id for r in info.references.values() if not r.fields)
-        if empty:
-            yield CheckItem(
-                path=info.path,
-                key=REFERENCES_KEY,
-                verdict="invalid",
-                detail=f"references without any fields: {', '.join(empty)}",
-            )
-        else:
-            yield CheckItem(path=info.path, key=REFERENCES_KEY, verdict="valid")
+        problems = [f"references without any fields: {', '.join(empty)}"] if empty else []
+        yield _problem_item(info.path, problems, key=REFERENCES_KEY)
 
 
 def _expected_key_items(info: MeasureInfoFile, run: _Run):
@@ -289,12 +280,7 @@ def _expected_key_items(info: MeasureInfoFile, run: _Run):
             problems.append(f"absent: {', '.join(report.absent)}")
         if report.blank:
             problems.append(f"blank: {', '.join(report.blank)}")
-        if problems:
-            yield CheckItem(
-                path=info.path, key=measure_id, verdict="invalid", detail="; ".join(problems)
-            )
-        else:
-            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
+        yield _problem_item(info.path, problems, key=measure_id)
 
 
 # ---------------------------------------------------------------- T5, T14
@@ -306,55 +292,50 @@ def _missing_measure_items(snapshot: RepoSnapshot, run: _Run):
     Visits the whole snapshot rather than each table because a table that
     failed to parse gets no T5 item; T2, T4, T6, T9 and T10 report it.
     """
-    pairing = run.pairing
     for table in snapshot.parsed_tables:
-        status, ref = pairing.table_status[table.path]
-        if status == "none":
+        infos = run.governing[table.path]
+        if not infos:
             yield CheckItem(
                 path=table.path,
                 verdict="invalid",
                 detail="no measure_info file found in this or any parent directory",
             )
-        elif status == "ambiguous":
-            siblings = ", ".join(pairing.ambiguous_dirs[ref])
+        elif len(infos) > 1:
+            siblings = ", ".join(sorted(i.path for i in infos))
             yield CheckItem(
                 path=table.path,
                 verdict="error",
                 detail=f"ambiguous pairing: multiple measure_info files claim this table ({siblings})",
             )
-        elif status == "broken":
+        elif isinstance(infos[0], ParseFailure):
             yield CheckItem(
                 path=table.path,
                 verdict="error",
-                detail=f"paired measure_info file could not be parsed: {ref}",
+                detail=f"paired measure_info file could not be parsed: {infos[0].path}",
             )
         else:
-            known_ids = pairing.expanded[ref][0]
-            for measure in sorted(table.distinct_measures):
-                if measure in known_ids:
-                    yield CheckItem(path=table.path, key=measure, verdict="valid")
-                else:
-                    yield CheckItem(
-                        path=table.path,
-                        key=measure,
-                        verdict="missing",
-                        detail=f"measure {measure!r} has no entry in {ref}",
-                    )
+            ref = infos[0].path
+            yield from _membership_items(
+                table.path,
+                table.distinct_measures,
+                run.expanded[ref][0],
+                "missing",
+                lambda measure: f"measure {measure!r} has no entry in {ref}",
+            )
 
 
 def _extra_measure_items(info: MeasureInfoFile, run: _Run):
     """T14: metadata names no measure that its data tables lack."""
-    pairing = run.pairing
-    info_dir = _dir_of(info.path)
-    if info_dir in pairing.ambiguous_dirs:
-        siblings = ", ".join(pairing.ambiguous_dirs[info_dir])
+    siblings = run.infos_by_dir[_dir_of(info.path)]
+    if len(siblings) > 1:
+        names = ", ".join(sorted(i.path for i in siblings))
         yield CheckItem(
             path=info.path,
             verdict="error",
-            detail=f"ambiguous pairing: directory holds multiple measure_info files ({siblings})",
+            detail=f"ambiguous pairing: directory holds multiple measure_info files ({names})",
         )
         return
-    ids, failures = pairing.expanded[info.path]
+    ids, failures = run.expanded[info.path]
     for measure_id, message in failures:
         yield CheckItem(
             path=info.path,
@@ -362,42 +343,30 @@ def _extra_measure_items(info: MeasureInfoFile, run: _Run):
             verdict="error",
             detail=f"dynamic entry could not be expanded: {message}",
         )
-    failed = {measure_id for measure_id, _ in failures}
     in_data: set[str] = set()
-    for table in pairing.info_tables[info.path]:
+    for table in run.governed_tables.get(info.path, ()):
         in_data.update(table.distinct_measures)
-    for measure_id in sorted(ids - failed):
-        if measure_id in in_data:
-            yield CheckItem(path=info.path, key=measure_id, verdict="valid")
-        else:
-            yield CheckItem(
-                path=info.path,
-                key=measure_id,
-                verdict="extra",
-                detail=f"measure {measure_id!r} appears in no corresponding data table",
-            )
+    yield from _membership_items(
+        info.path,
+        ids - {measure_id for measure_id, _ in failures},
+        in_data,
+        "extra",
+        lambda measure: f"measure {measure!r} appears in no corresponding data table",
+    )
 
 
 # ---------------------------------------------------------------- T4, T6, T9, T10
 
 
-def _vocabulary_items(table: DataTable, element: str, present: frozenset[str], run: _Run):
-    vocabulary = run.config.vocabularies[element]
-    for value in sorted(present):
-        if value in vocabulary:
-            yield CheckItem(path=table.path, key=value, verdict="valid")
-        else:
-            yield CheckItem(
-                path=table.path,
-                key=value,
-                verdict="invalid",
-                detail=f"{element} {value!r} not in the configured vocabulary",
-            )
-
-
 def _measure_type_items(table: DataTable, run: _Run):
     """T4: measure types come from the configured vocabulary."""
-    return _vocabulary_items(table, "measure_type", table.distinct_measure_types, run)
+    return _membership_items(
+        table.path,
+        table.distinct_measure_types,
+        run.config.vocabularies["measure_type"],
+        "invalid",
+        lambda value: f"measure_type {value!r} not in the configured vocabulary",
+    )
 
 
 def _column_items(table: DataTable, run: _Run):
@@ -411,36 +380,35 @@ def _column_items(table: DataTable, run: _Run):
         problems.append(f"missing columns: {', '.join(absent)}")
     if unexpected:
         problems.append(f"unexpected columns: {', '.join(unexpected)}")
-    if problems:
-        return [CheckItem(path=table.path, verdict="invalid", detail="; ".join(problems))]
-    return [CheckItem(path=table.path, verdict="valid")]
+    return [_problem_item(table.path, problems)]
 
 
 def _region_type_items(table: DataTable, run: _Run):
     """T9: region types come from the configured vocabulary."""
     if "region_type" not in table.columns:
         return ()
-    return _vocabulary_items(table, "region_type", table.distinct_region_types, run)
+    return _membership_items(
+        table.path,
+        table.distinct_region_types,
+        run.config.vocabularies["region_type"],
+        "invalid",
+        lambda value: f"region_type {value!r} not in the configured vocabulary",
+    )
 
 
 def _known_measure_items(table: DataTable, run: _Run):
     """T10: measures appear in the configured known-measures list, when there is one."""
     known = run.config.known_measures
     if known is None:
-        yield CheckItem(
-            path=table.path, verdict="skipped", detail="no known-measures list configured"
-        )
-        return
-    for measure in sorted(table.distinct_measures):
-        if measure in known:
-            yield CheckItem(path=table.path, key=measure, verdict="valid")
-        else:
-            yield CheckItem(
-                path=table.path,
-                key=measure,
-                verdict="invalid",
-                detail=f"measure {measure!r} not in the known-measures list",
-            )
+        detail = "no known-measures list configured"
+        return [CheckItem(path=table.path, verdict="skipped", detail=detail)]
+    return _membership_items(
+        table.path,
+        table.distinct_measures,
+        known,
+        "invalid",
+        lambda measure: f"measure {measure!r} not in the known-measures list",
+    )
 
 
 # ---------------------------------------------------------------- T11, T12, T13
@@ -457,9 +425,7 @@ def _file_name_items(cf: ClassifiedFile, run: _Run):
     if ext not in config.allowed_extensions:
         shown = ext or "(none)"
         problems.append(f"extension {shown} not in the allowlist")
-    if problems:
-        return [CheckItem(path=cf.path, verdict="invalid", detail="; ".join(problems))]
-    return [CheckItem(path=cf.path, verdict="valid")]
+    return [_problem_item(cf.path, problems)]
 
 
 def _code_exists_items(snapshot: RepoSnapshot, run: _Run):
@@ -473,33 +439,24 @@ def _code_exists_items(snapshot: RepoSnapshot, run: _Run):
         ):
             code_expectations.setdefault(_dir_of(cf.path), cf.sibling_code_dir)
 
-    dirs_with_files = {_dir_of(cf.path) for cf in snapshot.files}
+    # Every directory that holds a file at or below it.
+    populated = {d for cf in snapshot.files for d in _ancestor_dirs(cf.path)}
     for data_dir in sorted(code_expectations):
         code_dir = code_expectations[data_dir]
-        populated = any(d == code_dir or d.startswith(code_dir + "/") for d in dirs_with_files)
-        if populated:
-            yield CheckItem(path=data_dir, verdict="valid")
-        else:
-            yield CheckItem(
-                path=data_dir,
-                verdict="invalid",
-                detail=f"distribution data present but {code_dir}/ is absent or empty",
-            )
+        problems = []
+        if code_dir not in populated:
+            problems.append(f"distribution data present but {code_dir}/ is absent or empty")
+        yield _problem_item(data_dir, problems)
 
 
 def _file_name_length_items(cf: ClassifiedFile, run: _Run):
     """T13: file names stay within the length limit."""
     limit = run.config.filename_limit
     name = cf.basename
-    if len(name) <= limit:
-        return [CheckItem(path=cf.path, verdict="valid")]
-    return [
-        CheckItem(
-            path=cf.path,
-            verdict="invalid",
-            detail=f"file name is {len(name)} characters; limit is {limit}",
-        )
-    ]
+    problems = []
+    if len(name) > limit:
+        problems.append(f"file name is {len(name)} characters; limit is {limit}")
+    return [_problem_item(cf.path, problems)]
 
 
 # ---------------------------------------------------------------- T8

@@ -17,12 +17,21 @@ from .errors import CommonsLintError
 from .expansion import expand_file
 from .fair import convert_checklist, read_assessment_file, score_assessment
 from .metadata import decode_utf8, load_measure_info, parse_json, serialize_measure_info
-from .reports import render_dictionary, render_fair, render_suite
+from .reports import render_dictionary, render_fair, render_suite, write_atomic
 from .scanner import scan_repo
 
 EXIT_PASS = 0
 EXIT_FAILURES = 1
 EXIT_ERROR = 2
+
+
+def _shown(path: object) -> str:
+    """``path`` as text a strict stdout can encode.
+
+    An undecodable byte of a file name is a lone surrogate; it is shown as
+    its backslash escape, as the report files write it.
+    """
+    return str(path).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _add_repo_options(parser: argparse.ArgumentParser) -> None:
@@ -86,7 +95,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"overall: {'pass' if suite.overall_pass else 'fail'}")
     if not args.no_reports:
         filenames = render_suite(suite, args.out)
-        print(f"reports written to {Path(args.out)}/ ({len(filenames)} files)")
+        print(f"reports written to {_shown(Path(args.out))}/ ({len(filenames)} files)")
     return EXIT_PASS if suite.overall_pass else EXIT_FAILURES
 
 
@@ -109,7 +118,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_PASS
     for f in snapshot.files:
         marker = " [distribution]" if f.in_distribution else ""
-        print(f"{f.kind:>13}  {f.path}{marker}")
+        print(f"{f.kind:>13}  {_shown(f.path)}{marker}")
     kinds: dict[str, int] = {}
     for f in snapshot.files:
         kinds[f.kind] = kinds.get(f.kind, 0) + 1
@@ -122,12 +131,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     info = load_measure_info(args.infile)
     expanded = expand_file(info)
     out_path = Path(args.outfile)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(
-        serialize_measure_info(expanded), encoding="utf-8", errors="backslashreplace"
-    )
-    print(f"expanded {len(info.entries)} entries into {len(expanded.entries)} ({out_path})")
+    write_atomic(out_path, serialize_measure_info(expanded))
+    print(f"expanded {len(info.entries)} entries into {len(expanded.entries)} ({_shown(out_path)})")
     return EXIT_PASS
 
 
@@ -136,7 +141,7 @@ def cmd_dict(args: argparse.Namespace) -> int:
     snapshot = scan_repo(args.repo, config)
     site = render_dictionary(snapshot, args.out)
     print(
-        f"dictionary written to {site.outdir}/"
+        f"dictionary written to {_shown(site.outdir)}/"
         f" ({len(site.measure_pages)} measures, {len(site.category_files)} categories)"
     )
     return EXIT_PASS
@@ -162,7 +167,7 @@ def cmd_fair(args: argparse.Namespace) -> int:
         print("no gaps at level 1")
     if report.has_essential_gap:
         print("warning: at least one Essential indicator is not being considered yet")
-    print(f"report written to {Path(args.out)}/")
+    print(f"report written to {_shown(Path(args.out))}/")
     return EXIT_PASS
 
 

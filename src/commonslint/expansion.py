@@ -146,8 +146,9 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
         cat_token = cat.token if cat else None
         var_token = var.token if var else None
         new_id = _substitute(entry.measure_id, cat_token, var_token)
-        # Both walks recurse about twice per level of nesting, so a value the
-        # JSON decoder accepted can still be too deep for them.
+        # Both walks recurse about twice per level of nesting. A value read
+        # through parse_json is shallow enough for them; one built in code
+        # may not be.
         try:
             data = {k: _substitute(v, cat_token, var_token) for k, v in base.items()}
             for spec in (cat, var):

@@ -13,7 +13,9 @@ nested JSON input is a ParseError in every command.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterator
 
 from .errors import DuplicateKeyError, ParseError
@@ -120,12 +122,35 @@ def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+# The most arrays and objects a JSON input may hold open at once. The limit
+# is fixed, so a document reads the same from any call depth, and it is well
+# under the interpreter's recursion limit, which the decoder and the walks
+# over parsed values (expansion, serialization) count their nesting against.
+MAX_JSON_DEPTH = 200
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_NESTING_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _too_deep(text: str) -> bool:
+    """Whether more than MAX_JSON_DEPTH arrays and objects are open at once
+    anywhere in ``text``; brackets inside strings do not count."""
+    if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:
+        return False
+    # No byte of a multi-byte UTF-8 sequence is a bracket.
+    unquoted = _JSON_STRING.sub("", text).encode("utf-8", "surrogatepass")
+    steps = map(_NESTING_STEP.__getitem__, unquoted.translate(None, _NOT_BRACKET))
+    return max(accumulate(steps), default=0) > MAX_JSON_DEPTH
+
+
 def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> Any:
     """``json.loads`` that raises ParseError (stage "json") for any input it cannot read.
 
-    A syntax error carries its line and byte offset. Nesting too deep for
-    the decoder's recursion limit is a ParseError too, not a RecursionError.
+    A syntax error carries its line and byte offset. Nesting deeper than
+    MAX_JSON_DEPTH is a ParseError too, whatever the caller's stack depth.
     """
+    if _too_deep(text):
+        raise ParseError("nested too deeply", path=path)
     try:
         return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from html import escape
 from pathlib import Path
@@ -53,25 +52,24 @@ def _page(title: str, body: str) -> str:
     )
 
 
-def _atomic_write(path: Path, content: str) -> None:
+def write_atomic(path: Path, content: str) -> None:
+    """Write ``content`` as UTF-8 to a new file beside ``path``, then move it into place.
+
+    The file gets the mode the umask leaves of 0666, as any new file does, and
+    no temporary file outlives the call.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     # A lone surrogate (from an undecodable file name or a JSON escape) cannot
     # be encoded; it is written as its backslash escape, which a JSON string
     # reads back as the same character.
-    handle = tempfile.NamedTemporaryFile(
-        "w",
-        encoding="utf-8",
-        errors="backslashreplace",
-        dir=path.parent,
-        prefix=f".{path.name}.",
-        delete=False,
-    )
+    handle = open(temp, "x", encoding="utf-8", errors="backslashreplace")
     try:
         with handle:
             handle.write(content)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        temp.unlink()
         raise
 
 
@@ -163,7 +161,7 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
         cid = report.check.id
         enforcement = suite.enforcement.get(cid, "enforced")
         filename = f"{report.check.name}.html"
-        _atomic_write(out / filename, _check_page(report, enforcement))
+        write_atomic(out / filename, _check_page(report, enforcement))
         filenames.append(filename)
         index_lines.append(
             f'    <li id="line-{cid}"><a href="{filename}">{escape(report.check.name)}</a>'
@@ -178,8 +176,8 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
         "  <ul>\n" + "".join(index_lines) + "  </ul>\n"
         '  <p>Machine-readable results: <a href="suite.json">suite.json</a></p>\n'
     )
-    _atomic_write(out / "index.html", _page("Check suite report", index_body))
-    _atomic_write(out / "suite.json", _dump_json(suite_to_payload(suite)))
+    write_atomic(out / "index.html", _page("Check suite report", index_body))
+    write_atomic(out / "suite.json", _dump_json(suite_to_payload(suite)))
     return [*filenames, "index.html", "suite.json"]
 
 
@@ -329,7 +327,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionaryS
             DictionaryPage(measure_id=entry.measure_id, filename=filename, category=category)
         )
         by_category.setdefault(category, []).append((entry.measure_id, filename))
-        _atomic_write(out / filename, _measure_page(entry, source_path, references, note))
+        write_atomic(out / filename, _measure_page(entry, source_path, references, note))
 
     category_files: list[str] = []
     for category in sorted(by_category):
@@ -344,7 +342,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionaryS
             "  <ul>\n" + links + "  </ul>\n"
             '  <p><a href="../index.html">All measures</a></p>\n'
         )
-        _atomic_write(out / cat_file, _page(f"Category: {category}", body))
+        write_atomic(out / cat_file, _page(f"Category: {category}", body))
 
     measure_links = "".join(
         f'    <li><a href="{page.filename}">{escape(page.measure_id)}</a>'
@@ -363,7 +361,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionaryS
         "  <h2>All measures</h2>\n"
         "  <ul>\n" + measure_links + "  </ul>\n"
     )
-    _atomic_write(out / "index.html", _page("Data dictionary", index_body))
+    write_atomic(out / "index.html", _page("Data dictionary", index_body))
 
     return DictionarySite(
         outdir=str(out),
@@ -450,6 +448,6 @@ def render_fair(report: FairReport, outdir: str | Path) -> list[str]:
         "  </table>\n"
         f"{gaps_html}"
     )
-    _atomic_write(out / "fair.html", _page("FAIR maturity report", body))
-    _atomic_write(out / "fair.json", _dump_json(fair_to_payload(report)))
+    write_atomic(out / "fair.html", _page("FAIR maturity report", body))
+    write_atomic(out / "fair.json", _dump_json(fair_to_payload(report)))
     return ["fair.html", "fair.json"]

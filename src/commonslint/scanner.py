@@ -19,6 +19,7 @@ import io
 import lzma
 import math
 import os
+import zlib
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from functools import cached_property
@@ -94,27 +95,16 @@ class PercentStats:
 
 @dataclass(frozen=True)
 class TableRows:
-    """The data rows of one table, as dicts, read from the file again on each iteration.
+    """The data rows of one table, of which only the count is kept.
 
-    ``len()`` is the row count of the parse and reads nothing. The benchmark
-    tracer counts rows through it; remove it once the run counters live in
-    the library.
+    ``len()`` is the row count of the parse. The benchmark tracer counts rows
+    through it; remove it once the run counters live in the library.
     """
 
-    file_path: Path
-    columns: tuple[str, ...]
     count: int
 
     def __len__(self) -> int:
         return self.count
-
-    def __iter__(self):
-        with _open_table(self.file_path) as handle:
-            reader = csv.reader(handle)
-            next(reader, None)
-            for row in reader:
-                if row:
-                    yield dict(zip(self.columns, row))
 
 
 @dataclass(frozen=True)
@@ -325,7 +315,8 @@ def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
                     if stats is None:
                         stats = percent[measure] = PercentStats()
                     stats.add("" if value_i is None else row[value_i])
-    except OSError as exc:
+    # A corrupt or truncated compressed file raises one of the last three.
+    except (OSError, EOFError, lzma.LZMAError, zlib.error) as exc:
         raise ParseError(f"unreadable: {exc}", path=rel_path, stage="csv") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"undecodable table: {exc}", path=rel_path, stage="csv") from exc
@@ -333,7 +324,7 @@ def parse_data_table(file_path: str | Path, rel_path: str) -> DataTable:
     return DataTable(
         path=rel_path,
         columns=columns,
-        rows=TableRows(path, columns, row_count),
+        rows=TableRows(row_count),
         distinct_measures=frozenset(measures),
         distinct_measure_types=frozenset(is_percent),
         distinct_region_types=frozenset(region_types),

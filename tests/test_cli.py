@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from collections import Counter
 
 import pytest
 
 from commonslint.cli import main
-from commonslint.metadata import load_measure_info
+from commonslint.metadata import MAX_JSON_DEPTH, load_measure_info
 from repo_fixtures import clean_entry, count_parses, write_info
 
 CHECKLIST = {
@@ -377,7 +378,7 @@ def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
 
 # Deep enough to exhaust the JSON and YAML decoders' recursion limits.
 DEEP = "[" * 100_000
-# A dynamic entry the JSON decoder accepts but expansion cannot walk.
+# A dynamic entry nested deeper than MAX_JSON_DEPTH: a parse error, never expanded.
 DEEP_DYNAMIC = '{"m_{category}": {"categories": ["a"], "statement": %s}}' % (
     "[" * 600 + "]" * 600
 )
@@ -434,12 +435,42 @@ def test_check_reports_a_too_deep_dynamic_entry_under_t14(tmp_path, capsys):
     assert t14["items"] == [
         {
             "path": "data/distribution/measure_info.json",
-            "key": "m_{category}",
+            "key": None,
             "verdict": "error",
-            "detail": "dynamic entry could not be expanded:"
-            " dynamic entry 'm_{category}' nested too deeply",
+            "detail": "file could not be parsed:"
+            " data/distribution/measure_info.json: nested too deeply",
         }
     ]
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1])
+def test_check_dict_and_expand_agree_at_the_depth_limit(tmp_path, capsys, depth):
+    # The root object and the entry hold the statement's lists.
+    statement = "[" * (depth - 2) + "]" * (depth - 2)
+    info = tmp_path / "data" / "distribution" / "measure_info.json"
+    info.parent.mkdir(parents=True)
+    info.write_text(
+        '{"m_{category}": {"categories": ["a"], "statement": %s}}' % statement, encoding="utf-8"
+    )
+    (info.parent / "t.csv").write_text("measure,value\nm_a,1\n", encoding="utf-8")
+    parses = depth <= MAX_JSON_DEPTH
+
+    argv = ["check", "--repo", str(tmp_path), "--tests", "T8,T14", "--out", str(tmp_path / "r")]
+    assert main(argv) == (0 if parses else 1)
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    t8, t14 = ([item["verdict"] for item in c["items"]] for c in payload["checks"])
+    assert (t8, t14) == ((["valid"], ["valid"]) if parses else (["invalid"], ["error"]))
+
+    assert main(["dict", "--repo", str(tmp_path), "--out", str(tmp_path / "d")]) == 0
+    assert f"({1 if parses else 0} measures" in capsys.readouterr().out
+
+    code = main(["expand", "--in", str(info), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    if parses:
+        assert (code, err) == (0, "")
+        assert list(load_measure_info(tmp_path / "o.json").entries) == ["m_a"]
+    else:
+        assert (code, err) == (2, f"error: {info}: nested too deeply\n")
 
 
 # ---------------------------------------------------------------- unencodable text
@@ -461,6 +492,19 @@ def test_check_reports_an_undecodable_file_name(tmp_path, capsys):
     assert "data/distribution/\udcffbad.csv" in paths
 
 
+def test_scan_prints_an_undecodable_file_name_escaped(tmp_path, capsys):
+    # capsys's stdout encodes strictly, as a UTF-8 locale's does.
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"\xffbad.csv"), "wb") as handle:
+            handle.write(b"a,b\n1,2\n")
+    except OSError:
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    assert main(["scan", "--repo", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == " tabular_data  \\udcffbad.csv\n1 files: 1 tabular_data\n"
+    assert captured.err == ""
+
+
 def test_lone_surrogate_measure_id_is_written_escaped(tmp_path, capsys):
     info = tmp_path / "data" / "distribution" / "measure_info.json"
     info.parent.mkdir(parents=True)
@@ -475,6 +519,32 @@ def test_lone_surrogate_measure_id_is_written_escaped(tmp_path, capsys):
     assert main(["expand", "--in", str(info), "--out", str(out)]) == 0
     assert list(load_measure_info(out).entries) == ["m\udcff"]
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------- written files
+
+
+def test_written_files_get_the_umask_mode_and_leave_no_temp_file(clean_repo, tmp_path, capsys):
+    out = tmp_path / "out"
+    checklist = tmp_path / "checklist.json"
+    checklist.write_text(json.dumps(CHECKLIST), encoding="utf-8")
+    info = clean_repo / "d0_clean" / "data" / "distribution" / "measure_info.json"
+    previous = os.umask(0o027)
+    try:
+        assert main(["check", "--repo", str(clean_repo), "--out", str(out / "check")]) == 0
+        assert main(["dict", "--repo", str(clean_repo), "--out", str(out / "dict")]) == 0
+        assert main(["fair", "--checklist", str(checklist), "--out", str(out / "fair")]) == 0
+        assert main(["expand", "--in", str(info), "--out", str(out / "expand" / "o.json")]) == 0
+        # Replacing a file gives it the umask's mode too.
+        assert main(["expand", "--in", str(info), "--out", str(out / "expand" / "o.json")]) == 0
+    finally:
+        os.umask(previous)
+    written = [path for path in out.rglob("*") if path.is_file()]
+    assert {path.relative_to(out).parts[0] for path in written} == {
+        "check", "dict", "fair", "expand"
+    }
+    assert [path for path in written if path.name.startswith(".")] == []
+    assert {stat.S_IMODE(path.stat().st_mode) for path in written} == {0o640}
 
 
 # ---------------------------------------------------------------- parser

@@ -124,6 +124,13 @@ def test_axis_errors_echo_a_capped_value(raw):
     assert len(message) < 200
 
 
+def test_entry_too_deep_to_walk_is_an_expansion_error():
+    entry = MeasureEntry("m_{category}", {"categories": ["a"], "statement": _nested(5000)})
+    with pytest.raises(ExpansionError) as excinfo:
+        expand_dynamic(entry)
+    assert str(excinfo.value) == "dynamic entry 'm_{category}' nested too deeply"
+
+
 def test_axis_errors_echo_a_short_value_whole():
     with pytest.raises(ExpansionError) as excinfo:
         parse_axis({"a": ["b", 1]}, "variants")

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from commonslint.errors import DuplicateKeyError, ParseError
 from commonslint.metadata import (
+    MAX_JSON_DEPTH,
     MeasureEntry,
     MeasureInfoFile,
     SourceRef,
+    parse_json,
     parse_measure_info,
     serialize_measure_info,
 )
@@ -70,6 +72,28 @@ def test_parse_measure_info_returns_a_file_or_raises_parse_error(raw):
     except ParseError:
         return
     assert isinstance(info, MeasureInfoFile)
+
+
+def _at_stack_depth(frames: int, call):
+    return call() if frames == 0 else _at_stack_depth(frames - 1, call)
+
+
+def _outcome(document: str) -> str:
+    try:
+        parse_json(document)
+    except ParseError as exc:
+        return str(exc)
+    return "parsed"
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1, 985])
+def test_depth_limit_does_not_move_with_the_callers_stack(depth):
+    # Brackets inside a string do not count towards the depth.
+    inner = "[" * (depth - 2) + '"[[[[[["' + "]" * (depth - 2)
+    document = '{"m": {"statement": %s}}' % inner
+    expected = "parsed" if depth <= MAX_JSON_DEPTH else "nested too deeply"
+    assert _outcome(document) == expected
+    assert _at_stack_depth(500, lambda: _outcome(document)) == expected
 
 
 @pytest.mark.parametrize(

@@ -120,22 +120,27 @@ def test_parse_data_table_basic(tmp_path):
     table = parse_data_table(path, "t.csv")
     assert table.columns == ("geoid", "year", "measure", "value", "measure_type", "region_type")
     assert table.row_count == 1
-    assert [row["measure"] for row in table.rows] == ["m"]
     assert table.distinct_measures == {"m"}
     assert table.distinct_measure_types == {"percent"}
     assert table.distinct_region_types == {"county"}
+    (stats,) = table.percent_measures.values()
+    assert (stats.count, stats.first_bad, stats.first_out, stats.all_fractions) == (
+        1, None, None, False
+    )
 
 
 def test_parse_data_table_gzip_transparent(tmp_path):
     path = tmp_path / "t.csv.gz"
-    content = "geoid,measure,value\n01,m,2\n"
+    content = "geoid,measure,value,measure_type\n01,m,2,percent\n"
     with gzip.open(path, "wt", encoding="utf-8") as handle:
         handle.write(content)
     table = parse_data_table(path, "t.csv.gz")
-    assert table.columns == ("geoid", "measure", "value")
+    assert table.columns == ("geoid", "measure", "value", "measure_type")
     assert table.row_count == 1
     assert table.distinct_measures == {"m"}
-    assert [row["value"] for row in table.rows] == ["2"]
+    # The value column is read through the decompressing stream too.
+    assert table.percent_measures["m"].count == 1
+    assert not table.percent_measures["m"].all_fractions
 
 
 @pytest.mark.parametrize("name", ["t.csv", "t.csv.gz"])
