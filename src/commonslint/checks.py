@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
-from pathlib import PurePosixPath
 from typing import Callable, Container, Iterable
 
 from .config import RepoConfig, default_config
@@ -72,8 +71,9 @@ class CheckReport:
     check: Check
     items: tuple[CheckItem, ...] = ()
 
-    @property
+    @cached_property
     def counts(self) -> dict[str, int]:
+        """Items per verdict, every verdict present; counted once per report."""
         tally = {verdict: 0 for verdict in VERDICTS}
         for item in self.items:
             tally[item.verdict] += 1
@@ -85,7 +85,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(item.verdict in ("valid", "skipped") for item in self.items)
+        return self.counts["valid"] + self.counts["skipped"] == self.total
 
     def summary_line(self) -> str:
         """e.g. '141/234 (60.3%) valid' — or 'nothing to check' when empty."""
@@ -124,8 +124,7 @@ def format_percentage(count: int, total: int) -> str:
 
 
 def _dir_of(path: str) -> str:
-    parent = str(PurePosixPath(path).parent)
-    return "" if parent == "." else parent
+    return path.rpartition("/")[0]
 
 
 def _ancestor_dirs(path: str):
@@ -133,8 +132,7 @@ def _ancestor_dirs(path: str):
     current = _dir_of(path)
     while current:
         yield current
-        parent = str(PurePosixPath(current).parent)
-        current = "" if parent == "." else parent
+        current = _dir_of(current)
     yield ""
 
 

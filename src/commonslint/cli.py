@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .checks import CHECK_ORDER, run_suite
 from .config import load_config
-from .errors import CommonsLintError
+from .errors import CommonsLintError, ConfigError
 from .expansion import expand_file
 from .fair import convert_checklist, read_assessment_file, score_assessment
 from .metadata import decode_utf8, load_measure_info, parse_json, serialize_measure_info
@@ -34,13 +34,20 @@ def _shown(path: object) -> str:
     return str(path).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr."""
+
+    def error(self, message: str):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def _add_repo_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repo", default=".", help="repository root (default: current directory)")
     parser.add_argument("--config", default=None, help="path to a config file (default: discover in repo)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commonslint",
         description="Lint data-commons repositories and their measure metadata.",
     )
@@ -83,11 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    selected = None
+    if args.tests is not None:
+        selected = {part.strip() for part in args.tests.split(",") if part.strip()}
+        if not selected:
+            raise ConfigError(f"--tests names no check id: {args.tests!r}")
     config = load_config(args.config, repo_root=args.repo)
     snapshot = scan_repo(args.repo, config)
-    selected = None
-    if args.tests:
-        selected = {part.strip() for part in args.tests.split(",") if part.strip()}
     suite = run_suite(snapshot, config, selected, dev=args.dev, strict=args.strict)
     for report in suite.reports:
         tier = suite.enforcement[report.check.id]

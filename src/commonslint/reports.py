@@ -4,6 +4,10 @@ All outputs are plain static files with relative links and no client-side
 code. Rendering is deterministic: the same inputs produce byte-identical
 files, which carry no timestamp. Files are written to a temporary name and
 atomically moved into place.
+
+``suite.json`` has its own writer, ``_suite_json``, which lays the text out
+in one pass, byte for byte as ``json.dumps(indent=2, sort_keys=True,
+ensure_ascii=False)`` would; ``fair.json`` still goes through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from html import escape
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .checks import VERDICTS, SuiteReport, format_percentage
@@ -80,33 +85,56 @@ def _dump_json(payload: object) -> str:
 # ---------------------------------------------------------------- suite
 
 
-def suite_to_payload(suite: SuiteReport) -> dict:
-    """The machine-readable form of a SuiteReport (the suite.json schema)."""
-    return {
-        "root": suite.root,
-        "overall_pass": suite.overall_pass,
-        "enforcement": dict(suite.enforcement),
-        "checks": [
-            {
-                "id": report.check.id,
-                "name": report.check.name,
-                "counts": report.counts,
-                "total": report.total,
-                "passed": report.passed,
-                "summary": report.summary_line(),
-                "items": [
-                    {
-                        "path": item.path,
-                        "key": item.key,
-                        "verdict": item.verdict,
-                        "detail": item.detail,
-                    }
-                    for item in report.items
-                ],
-            }
-            for report in suite.reports
-        ],
-    }
+def _json_block(members: list[str], indent: str, brackets: str) -> str:
+    """Indented members laid out as ``json.dumps(indent=2)`` lays out a list or object."""
+    if not members:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{indent}{brackets[1]}"
+
+
+def _suite_json(suite: SuiteReport) -> str:
+    """The suite.json text, in one direct pass.
+
+    It is the text ``json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes for the suite's payload, with the sorted key
+    order written out: items ``detail, key, path, verdict``; reports ``counts,
+    id, items, name, passed, summary, total``; the top level ``checks,
+    enforcement, overall_pass, root``. Strings go through the escaper that
+    ``json.dumps`` uses.
+    """
+    quote = encode_basestring
+    checks = []
+    for report in suite.reports:
+        items = [
+            "        {\n"
+            f'          "detail": {quote(item.detail)},\n'
+            f'          "key": {"null" if item.key is None else quote(item.key)},\n'
+            f'          "path": {quote(item.path)},\n'
+            f'          "verdict": {quote(item.verdict)}\n'
+            "        }"
+            for item in report.items
+        ]
+        counts = [f"        {quote(v)}: {n}" for v, n in sorted(report.counts.items())]
+        checks.append(
+            "    {\n"
+            f'      "counts": {_json_block(counts, "      ", "{}")},\n'
+            f'      "id": {quote(report.check.id)},\n'
+            f'      "items": {_json_block(items, "      ", "[]")},\n'
+            f'      "name": {quote(report.check.name)},\n'
+            f'      "passed": {"true" if report.passed else "false"},\n'
+            f'      "summary": {quote(report.summary_line())},\n'
+            f'      "total": {report.total}\n'
+            "    }"
+        )
+    enforcement = [f"    {quote(c)}: {quote(t)}" for c, t in sorted(suite.enforcement.items())]
+    return (
+        "{\n"
+        f'  "checks": {_json_block(checks, "  ", "[]")},\n'
+        f'  "enforcement": {_json_block(enforcement, "  ", "{}")},\n'
+        f'  "overall_pass": {"true" if suite.overall_pass else "false"},\n'
+        f'  "root": {quote(suite.root)}\n'
+        "}\n"
+    )
 
 
 def _check_page(report, enforcement: str) -> str:
@@ -177,7 +205,7 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
         '  <p>Machine-readable results: <a href="suite.json">suite.json</a></p>\n'
     )
     write_atomic(out / "index.html", _page("Check suite report", index_body))
-    write_atomic(out / "suite.json", _dump_json(suite_to_payload(suite)))
+    write_atomic(out / "suite.json", _suite_json(suite))
     return [*filenames, "index.html", "suite.json"]
 
 

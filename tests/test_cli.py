@@ -63,6 +63,17 @@ def test_check_unknown_test_id_is_usage_error(clean_repo, capsys):
     assert "T99" in captured.err
 
 
+@pytest.mark.parametrize("tests", [",", " ", " , ", ""])
+def test_check_tests_naming_no_check_is_usage_error(clean_repo, tmp_path, capsys, tests):
+    out = tmp_path / "r"
+    code = main(["check", "--repo", str(clean_repo), "--tests", tests, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --tests")
+    assert not out.exists()
+
+
 def test_check_missing_repo_is_error(tmp_path, capsys):
     code = main(["check", "--repo", str(tmp_path / "nope"), "--no-reports"])
     assert code == 2
@@ -553,6 +564,16 @@ def test_written_files_get_the_umask_mode_and_leave_no_temp_file(clean_repo, tmp
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [["check", "--bogus"], ["fair"], ["check", "--strict", "--dev"]])
+def test_usage_errors_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 def test_config_flag_respected(tmp_path, capsys):

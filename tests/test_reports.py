@@ -1,13 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint import checks, reports
-from commonslint.checks import CHECK_NAMES, CHECK_ORDER, VERDICTS, run_suite
+from commonslint.checks import (
+    CHECK_NAMES,
+    CHECK_ORDER,
+    CHECKS,
+    VERDICTS,
+    CheckItem,
+    CheckReport,
+    SuiteReport,
+    run_suite,
+)
 from commonslint.config import default_config
 from commonslint.fair import (
     AREAS,
@@ -22,10 +33,9 @@ from commonslint.reports import (
     render_dictionary,
     render_fair,
     render_suite,
-    suite_to_payload,
 )
 from commonslint.scanner import scan_repo
-from repo_fixtures import clean_entry, write_info, write_table
+from repo_fixtures import clean_entry, oracle_payload, write_info, write_table
 
 CONFIG = default_config()
 
@@ -140,11 +150,73 @@ def test_empty_suite_renders_no_check_pages(tmp_path):
 def test_suite_payload_round_trips_items(planted_repo, tmp_path):
     root, _ = planted_repo
     suite = run_suite(scan_repo(root, CONFIG), CONFIG)
-    payload = suite_to_payload(suite)
+    render_suite(suite, tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "suite.json").read_text("utf-8"))
     t13 = next(c for c in payload["checks"] if c["id"] == "T13")
     flagged = [i for i in t13["items"] if i["verdict"] == "invalid"]
     assert len(flagged) == 1
     assert set(flagged[0]) == {"path", "key", "verdict", "detail"}
+
+
+def _oracle_text(suite: SuiteReport) -> str:
+    return json.dumps(oracle_payload(suite), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def test_written_suite_json_is_the_oracle_text(planted_repo, tmp_path):
+    root, _ = planted_repo
+    suite = run_suite(scan_repo(root, CONFIG), CONFIG, {"T3", "T13"}, strict=True)
+    render_suite(suite, tmp_path / "out")
+    assert (tmp_path / "out" / "suite.json").read_text("utf-8") == _oracle_text(suite)
+
+
+# Characters JSON escapes or that an escaper could get wrong: quotes,
+# backslashes, controls, U+2028/U+2029, non-BMP and lone surrogates.
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600", "\ud800", "\udcff", "é"]
+)
+_CHARS = st.one_of(_TRICKY, st.characters(blacklist_categories=()))
+_TEXT = st.text(_CHARS, max_size=12)
+
+
+@st.composite
+def _items(draw) -> CheckItem:
+    verdict = draw(st.sampled_from(VERDICTS))
+    detail_size = 1 if verdict in ("invalid", "missing", "extra", "error") else 0
+    return CheckItem(
+        path=draw(_TEXT),
+        verdict=verdict,
+        key=draw(st.none() | _TEXT),
+        detail=draw(st.text(_CHARS, min_size=detail_size, max_size=12)),
+    )
+
+
+@st.composite
+def _suites(draw) -> SuiteReport:
+    # A --tests-style subset of the registry, in registry order.
+    chosen = draw(st.lists(st.sampled_from(CHECKS), max_size=len(CHECKS), unique=True))
+    ordered = [check for check in CHECKS if check in chosen]
+    reports = tuple(
+        CheckReport(
+            check=dataclasses.replace(check, name=draw(st.sampled_from([check.name, "ü \" \\ \ud800"]))),
+            items=tuple(draw(st.lists(_items(), max_size=4))),
+        )
+        for check in ordered
+    )
+    tiers = st.sampled_from(["enforced", "warn", "off"])
+    return SuiteReport(
+        root=draw(_TEXT),
+        reports=reports,
+        enforcement={report.check.id: draw(tiers) for report in reports},
+        overall_pass=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite=_suites())
+@example(suite=SuiteReport(root="", reports=()))
+@example(suite=SuiteReport(root="r", reports=(CheckReport(check=CHECKS[0]),), enforcement={"T2": "warn"}))
+def test_suite_json_writer_matches_json_dumps(suite):
+    assert reports._suite_json(suite) == _oracle_text(suite)
 
 
 # ---------------------------------------------------------------- dictionary

@@ -1,15 +1,28 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import gzip
 import json
-from pathlib import Path
+import os
+import tempfile
+from fnmatch import fnmatch
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint.config import default_config
 from commonslint.errors import ParseError
 from commonslint.metadata import MeasureInfoFile
-from commonslint.scanner import ParseFailure, classify, parse_data_table, scan_repo
+from commonslint.scanner import (
+    ClassifiedFile,
+    ParseFailure,
+    RepoSnapshot,
+    classify,
+    parse_data_table,
+    scan_repo,
+)
 from repo_fixtures import count_parses, write_table
 
 
@@ -247,3 +260,134 @@ def test_scan_leaves_out_symlinks_that_leave_the_root(tmp_path):
         "d/data/distribution/real.json": None,
     }
     assert snapshot.data_tables == ()
+
+
+# ---------------------------------------------------------------- walk oracle
+
+
+def _oracle_classify(rel_path, config):
+    """``classify`` as written over ``PurePosixPath``: the reference for the string one."""
+    pure = PurePosixPath(rel_path)
+    lower = pure.name.lower()
+    for ext in (".gz", ".bz2", ".xz"):
+        if lower.endswith(ext):
+            lower = lower[: -len(ext)]
+            break
+    suffix = PurePosixPath(lower).suffix
+    if fnmatch(pure.name, config.metadata_filename):
+        kind = "measure_info"
+    elif "code" in pure.parts[:-1]:
+        kind = "code"
+    elif suffix == ".csv":
+        kind = "tabular_data"
+    elif suffix == ".geojson":
+        kind = "layer_data"
+    else:
+        kind = "other"
+    parts = pure.parts
+    dataset = next(
+        (parts[:i] for i in range(len(parts) - 1) if parts[i : i + 2] == ("data", "distribution")),
+        None,
+    )
+    sibling = None
+    if dataset is not None and kind in ("tabular_data", "layer_data"):
+        sibling = str(PurePosixPath(*dataset, "code", "distribution"))
+    return ClassifiedFile(
+        path=str(pure), kind=kind, in_distribution=dataset is not None, sibling_code_dir=sibling
+    )
+
+
+def _oracle_scan(root, config):
+    """``scan_repo`` as written over ``os.walk`` and ``pathlib``: the reference walk."""
+    root_path = Path(root)
+    real_root = root_path.resolve()
+    rel_paths = []
+    for dirpath, dirnames, filenames in os.walk(root_path):
+        dirnames[:] = sorted(d for d in dirnames if d not in config.ignore_dirs)
+        for filename in sorted(filenames):
+            full = Path(dirpath) / filename
+            if not full.is_file():
+                continue
+            if full.is_symlink() and not full.resolve().is_relative_to(real_root):
+                continue
+            rel_paths.append(full.relative_to(root_path).as_posix())
+    rel_paths.sort()
+    return RepoSnapshot(
+        root=str(root_path), files=tuple(_oracle_classify(rel, config) for rel in rel_paths)
+    )
+
+
+_DIRS = ("a", "a-b", "code", "data", "distribution", "skip", ".git")
+_NAMES = ("measure_info.json", "t.csv", "T.CSV.GZ", "l.geojson", "x.json", "n.txt", ".csv", "z")
+_NODES = ("file", "link_in", "link_out", "link_broken", "link_loop", "link_dir", "fifo", "undecodable")
+_WALK_CONFIG = dataclasses.replace(CONFIG, ignore_dirs=frozenset({".git", "skip"}))
+
+_trees = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_DIRS), max_size=4).map(tuple),
+        st.sampled_from(_NAMES),
+        st.sampled_from(_NODES),
+    ),
+    max_size=10,
+)
+
+
+def _build(base: Path, tree) -> Path:
+    """Lay ``tree`` out under ``base/repo``; ``base/outside.csv`` lies outside the root."""
+    root = base / "repo"
+    root.mkdir()
+    (root / "inside.csv").write_text("a\n1\n", encoding="utf-8")
+    (base / "outside.csv").write_text("a\n1\n", encoding="utf-8")
+    for dirs, name, node in tree:
+        parent = root.joinpath(*dirs)
+        parent.mkdir(parents=True, exist_ok=True)
+        target = parent / name
+        if os.path.lexists(target):
+            continue
+        if node == "file":
+            target.write_text("{}", encoding="utf-8")
+        elif node == "link_in":
+            target.symlink_to(os.path.relpath(root / "inside.csv", parent))
+        elif node == "link_out":
+            target.symlink_to(base / "outside.csv")
+        elif node == "link_broken":
+            target.symlink_to("no-such-file")
+        elif node == "link_loop":
+            target.symlink_to(name)
+        elif node == "link_dir":
+            target.symlink_to(os.path.relpath(root, parent), target_is_directory=True)
+        elif node == "fifo":
+            os.mkfifo(target)
+        else:
+            try:
+                Path(os.fsdecode(os.fsencode(target) + b"\xff")).write_bytes(b"{}")
+            except OSError:
+                pass  # the file system refuses the name
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_trees)
+@example(
+    tree=[
+        (("a", ".git"), "x.json", "file"),
+        (("a", "skip", "b"), "t.csv", "file"),
+        (("d", "data", "distribution"), "t.csv", "link_in"),
+        (("d", "data", "distribution"), "x.json", "link_out"),
+        (("d", "data", "distribution"), "l.geojson", "link_broken"),
+        (("d", "data", "distribution"), "z", "link_loop"),
+        (("d", "code"), "z", "link_dir"),
+        (("d",), "n.txt", "fifo"),
+        (("a-b",), "measure_info.json", "undecodable"),
+        (("d", "data", "distribution"), "T.CSV.GZ", "file"),
+        (("code",), ".csv", "file"),
+    ]
+)
+def test_scan_matches_the_os_walk_oracle(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        root = _build(base, tree)
+        spellings = [("repo", base), ("repo/", base), (".", root), (str(root), root)]
+        for spelling, cwd in spellings:
+            with contextlib.chdir(cwd):
+                assert scan_repo(spelling, _WALK_CONFIG) == _oracle_scan(spelling, _WALK_CONFIG)
