@@ -264,7 +264,7 @@ def _allowed_key_items(info: MeasureInfoFile, run: _Run):
 
     if info.references is not None:
         # The bibliography block is reserved structure, not a measure entry.
-        empty = sorted(r.ref_id for r in info.references.values() if not r.fields)
+        empty = sorted(ref_id for ref_id, ref in info.references.items() if ref == {})
         problems = [f"references without any fields: {', '.join(empty)}"] if empty else []
         yield _problem_item(info.path, problems, key=REFERENCES_KEY)
 

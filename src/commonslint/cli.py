@@ -7,18 +7,20 @@ Exit codes follow the CI contract: 0 = pass, 1 = enforced check failures,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-from .checks import CHECK_ORDER, run_suite
+from .checks import CHECK_NAMES, CHECK_ORDER, run_suite
 from .config import load_config
 from .errors import CommonsLintError, ConfigError
 from .expansion import expand_file
 from .fair import convert_checklist, read_assessment_file, score_assessment
 from .metadata import decode_utf8, load_measure_info, parse_json, serialize_measure_info
 from .reports import render_dictionary, render_fair, render_suite, write_atomic
-from .scanner import scan_repo
+from .scanner import RepoSnapshot, scan_repo
 
 EXIT_PASS = 0
 EXIT_FAILURES = 1
@@ -89,6 +91,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _without_reports(snapshot: RepoSnapshot, out: str) -> RepoSnapshot:
+    """``snapshot`` without the files ``render_suite`` writes into ``out``.
+
+    When ``out`` is the repository root or lies under it, a second run would
+    otherwise check the reports of the first.
+    """
+    rel = os.path.relpath(os.path.realpath(out), os.path.realpath(snapshot.root))
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return snapshot
+    prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
+    names = [f"{name}.html" for name in CHECK_NAMES.values()] + ["index.html", "suite.json"]
+    written = {prefix + name for name in names}
+    return dataclasses.replace(
+        snapshot, files=tuple(f for f in snapshot.files if f.path not in written)
+    )
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     selected = None
     if args.tests is not None:
@@ -96,7 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not selected:
             raise ConfigError(f"--tests names no check id: {args.tests!r}")
     config = load_config(args.config, repo_root=args.repo)
-    snapshot = scan_repo(args.repo, config)
+    snapshot = _without_reports(scan_repo(args.repo, config), args.out)
     suite = run_suite(snapshot, config, selected, dev=args.dev, strict=args.strict)
     for report in suite.reports:
         tier = suite.enforcement[report.check.id]

@@ -210,14 +210,16 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
 
     JSON may be either a flat indicator-id → level map, or an object with a
     ``levels`` map plus optional ``assessor``/``date``. Tabular files need
-    ``indicator_id`` and ``level`` columns. A file that is not UTF-8, or not
-    shaped like either form, is a ParseError.
+    ``indicator_id`` and ``level`` columns and may start with a byte order
+    mark. A file that is not UTF-8, or not shaped like either form, is a
+    ParseError.
     """
     file_path = Path(path)
     rel = str(file_path)
     raw = decode_utf8(file_path.read_bytes(), rel)
     if file_path.suffix.lower() == ".csv":
-        reader = csv.DictReader(raw.splitlines())
+        # Spreadsheets save "CSV UTF-8" with a byte order mark.
+        reader = csv.DictReader(raw.removeprefix("\ufeff").splitlines())
         fields = reader.fieldnames or []
         if "indicator_id" not in fields or "level" not in fields:
             raise ParseError(

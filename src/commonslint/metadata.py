@@ -2,9 +2,9 @@
 
 A measure_info file is a JSON object mapping measure ids to metadata
 entries, with an optional reserved ``_references`` block holding the
-bibliography. Entries keep their raw key/value data verbatim so that
-unknown keys, nulls and legacy shapes survive a parse/serialize round
-trip untouched; typed views (sources, citations) normalize on read only.
+bibliography. Entries and the references block keep their parsed JSON
+verbatim, so unknown keys, nulls and legacy shapes survive a
+parse/serialize round trip untouched; readers normalize what they show.
 
 ``parse_json`` is the package's one JSON reader, so malformed or too deeply
 nested JSON input is a ParseError in every command.
@@ -23,24 +23,6 @@ from .schema import REFERENCES_KEY
 
 
 @dataclass(frozen=True)
-class SourceRef:
-    """One provenance record under an entry's ``sources`` element."""
-
-    name: str
-    url: str | None = None
-    location: str | None = None
-    date_accessed: str | None = None
-
-
-@dataclass(frozen=True)
-class ReferenceEntry:
-    """One bibliography record; fields are free key/value pairs."""
-
-    ref_id: str
-    fields: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class MeasureEntry:
     """One measure's metadata record.
 
@@ -54,57 +36,19 @@ class MeasureEntry:
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
 
-    @property
-    def citations(self) -> list[str]:
-        """Citation keys, normalized to a list (legacy single strings accepted)."""
-        raw = self.data.get("citations")
-        if raw is None:
-            return []
-        if isinstance(raw, str):
-            return [raw] if raw else []
-        if isinstance(raw, list):
-            return [c for c in raw if isinstance(c, str)]
-        return []
-
-    @property
-    def sources(self) -> list[SourceRef]:
-        """Source records, normalized to a list (legacy single objects accepted)."""
-        raw = self.data.get("sources")
-        if raw is None:
-            return []
-        items = raw if isinstance(raw, list) else [raw]
-        out = []
-        for item in items:
-            if not isinstance(item, dict):
-                continue
-            out.append(
-                SourceRef(
-                    name=str(item.get("name", "")),
-                    url=item.get("url"),
-                    location=item.get("location"),
-                    date_accessed=_as_opt_str(item.get("date_accessed")),
-                )
-            )
-        return out
-
-
-def _as_opt_str(value: Any) -> str | None:
-    if value is None:
-        return None
-    return value if isinstance(value, str) else str(value)
-
 
 @dataclass(frozen=True)
 class MeasureInfoFile:
     """A parsed measure_info file.
 
-    ``entries`` preserves file order; ``references`` is None when the file
-    has no ``_references`` key at all (distinct from an empty block).
+    ``entries`` preserves file order; ``references`` is the ``_references``
+    object as parsed, or None when the file has no such key at all
+    (distinct from an empty block).
     """
 
     path: str
     entries: dict[str, MeasureEntry]
-    references: dict[str, ReferenceEntry] | None = None
+    references: dict[str, Any] | None = None
 
     def __iter__(self) -> Iterator[MeasureEntry]:
         return iter(self.entries.values())
@@ -188,7 +132,7 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
             "measure_info root must be a JSON object", path=path, stage="structure"
         )
 
-    references: dict[str, ReferenceEntry] | None = None
+    references: dict[str, Any] | None = None
     entries: dict[str, MeasureEntry] = {}
     for key, value in document.items():
         if key == REFERENCES_KEY:
@@ -198,10 +142,7 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
                     path=path,
                     stage="structure",
                 )
-            references = {
-                ref_id: ReferenceEntry(ref_id=ref_id, fields=fields if isinstance(fields, dict) else {"value": fields})
-                for ref_id, fields in value.items()
-            }
+            references = value
             continue
         if not isinstance(value, dict):
             raise ParseError(
@@ -230,5 +171,5 @@ def serialize_measure_info(mi: MeasureInfoFile) -> str:
     """
     payload: dict[str, Any] = {mid: entry.data for mid, entry in mi.entries.items()}
     if mi.references is not None:
-        payload[REFERENCES_KEY] = {rid: ref.fields for rid, ref in mi.references.items()}
+        payload[REFERENCES_KEY] = mi.references
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

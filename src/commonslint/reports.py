@@ -254,29 +254,35 @@ _DISPLAY_FIELDS = (
 
 
 def _render_sources(entry: MeasureEntry) -> str:
-    sources = entry.sources
-    if not sources:
-        return ""
+    # A single object counts as a list of one; anything but an object is skipped.
+    raw = entry.get("sources")
     rows = []
-    for src in sources:
-        parts = [escape(src.name)]
-        if src.location:
-            parts.append(escape(src.location))
-        if src.date_accessed:
-            parts.append(f"accessed {escape(src.date_accessed)}")
+    for src in raw if isinstance(raw, list) else [raw]:
+        if not isinstance(src, dict):
+            continue
+        location, url, accessed = src.get("location"), src.get("url"), src.get("date_accessed")
+        parts = [escape(str(src.get("name", "")))]
+        if location:
+            parts.append(escape(str(location)))
+        if accessed is not None and str(accessed):
+            parts.append(f"accessed {escape(str(accessed))}")
         text = ", ".join(parts)
-        if src.url:
-            text = f'<a href="{escape(src.url, quote=True)}">{text}</a>'
+        if url:
+            text = f'<a href="{escape(str(url), quote=True)}">{text}</a>'
         rows.append(f"    <li>{text}</li>\n")
+    if not rows:
+        return ""
     return "  <h2>Sources</h2>\n  <ul>\n" + "".join(rows) + "  </ul>\n"
 
 
 def _render_citations(entry: MeasureEntry, references: frozenset[str]) -> str:
-    keys = entry.citations
-    if not keys:
-        return ""
+    # A single string counts as a list of one; keys that are not strings are skipped.
+    raw = entry.get("citations") or []
+    keys = [raw] if isinstance(raw, str) else raw if isinstance(raw, list) else []
     rows = []
     for key in keys:
+        if not isinstance(key, str):
+            continue
         if key in references:
             rows.append(f"    <li>{escape(key)}</li>\n")
         else:
@@ -284,6 +290,8 @@ def _render_citations(entry: MeasureEntry, references: frozenset[str]) -> str:
                 f'    <li>{escape(key)} <span class="unresolved-reference">'
                 "[unresolved reference]</span></li>\n"
             )
+    if not rows:
+        return ""
     return "  <h2>References</h2>\n  <ul>\n" + "".join(rows) + "  </ul>\n"
 
 

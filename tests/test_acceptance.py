@@ -295,17 +295,7 @@ def test_criterion_8_round_trip(tmp_path):
         same_entries = {k: e.data for k, e in original.entries.items()} == {
             k: e.data for k, e in reparsed.entries.items()
         }
-        original_refs = (
-            {k: r.fields for k, r in original.references.items()}
-            if original.references is not None
-            else None
-        )
-        reparsed_refs = (
-            {k: r.fields for k, r in reparsed.references.items()}
-            if reparsed.references is not None
-            else None
-        )
-        if not (same_entries and original_refs == reparsed_refs):
+        if not (same_entries and original.references == reparsed.references):
             failures.append(str(path))
 
     ok = not failures and len(paths) >= 5

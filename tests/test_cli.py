@@ -4,6 +4,7 @@ import json
 import os
 import stat
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,26 @@ def test_check_selected_tests_only(planted_repo, tmp_path, capsys):
     assert code == 1  # the planted over-long filename
     assert "T13 test_file_name_len:" in out
     assert "T2 " not in out
+
+
+@pytest.mark.parametrize("out", ["reports", "./reports/", "absolute", "."])
+def test_check_does_not_read_its_own_reports(planted_repo, tmp_path, monkeypatch, capsys, out):
+    root, _ = planted_repo
+    monkeypatch.chdir(root)
+    out = str(root / "reports") if out == "absolute" else out
+    main(["check", "--out", str(tmp_path / "outside")])
+    outside = capsys.readouterr().out
+    runs = []
+    for _ in range(2):
+        main(["check", "--out", out])
+        runs.append((capsys.readouterr().out, (Path(out) / "suite.json").read_bytes()))
+    assert runs[0] == runs[1]
+    # The verdicts are those of a run that writes outside the repository.
+    assert runs[0][0].splitlines()[:-1] == outside.splitlines()[:-1]
+    # Other files in the output directory are still checked.
+    (Path(out) / "notes.json").write_text("{}", encoding="utf-8")
+    main(["check", "--no-reports", "--tests", "T8", "--out", out])
+    assert "T8 test_jsons: 8/9" in capsys.readouterr().out
 
 
 def test_check_unknown_test_id_is_usage_error(clean_repo, capsys):
@@ -289,6 +310,25 @@ def test_dict_empty_repo_is_fine(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 measures" in out
+
+
+def test_dict_shows_source_fields_that_are_not_strings(tmp_path, capsys):
+    sources = [
+        {"name": 3, "location": 5, "url": 7, "date_accessed": 2022},
+        {"name": None, "location": ["x"], "url": {"a": 1}, "date_accessed": False},
+        {"location": 0, "url": 0, "date_accessed": None},
+    ]
+    write_info(tmp_path / "repo" / "measure_info.json", {"m": clean_entry("m", sources=sources)})
+    code = main(["dict", "--repo", str(tmp_path / "repo"), "--out", str(tmp_path / "d")])
+    assert code == 0
+    page = (tmp_path / "d" / "measures" / "m.html").read_text("utf-8")
+    assert '    <li><a href="7">3, 5, accessed 2022</a></li>\n' in page
+    assert (
+        '    <li><a href="{&#x27;a&#x27;: 1}">None, [&#x27;x&#x27;], accessed False</a></li>\n'
+        in page
+    )
+    # A falsy location or url is not shown; neither is a null date.
+    assert "    <li></li>\n" in page
 
 
 # ---------------------------------------------------------------- fair

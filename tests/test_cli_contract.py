@@ -18,17 +18,25 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from commonslint import cli
 from commonslint.checks import CHECK_ORDER, run_suite
 from repo_fixtures import clean_entry
 
 _TABLE = b"geoid,year,measure,value,measure_type,region_type\n01,2021,m,50,percent,county\n"
+# Source fields that are not strings, and a reference that is not an object.
+_ODD_SOURCES = json.dumps(
+    {
+        "m": clean_entry("m", sources={"name": 3, "location": 5, "url": 7, "date_accessed": 0}),
+        "_references": {"lou04": "Smith 2020"},
+    }
+).encode()
 _CONTENTS = (
     json.dumps({"m": clean_entry("m")}).encode(),
     json.dumps({"m_{category}": clean_entry("m", categories=["a", "b"]), "m_a": {}}).encode(),
     b'{"m\\udcff": {}, "fixed": {"categories": ["a"]}}',
+    _ODD_SOURCES,
     b"{bad",
     b"[1]",
     b"[" * 5_000,
@@ -153,6 +161,7 @@ def _run(argv: list[str]) -> tuple[int, str, list]:
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cases())
+@example(case=({"measure_info.json": _ODD_SOURCES}, set(), None, None, ["dict"], "out"))
 def test_main_keeps_the_ci_contract(case):
     files, links, config, config_flag, argv, out = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -285,6 +285,20 @@ def test_read_assessment_csv(tmp_path):
     assert assessment.levels == {"RDA-F1-01M": 3, "RDA-A2-01M": 1}
 
 
+def test_read_assessment_csv_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"\xef\xbb\xbfindicator_id,level\r\nRDA-F1-01M,3\r\n")
+    assert read_assessment_file(path).levels == {"RDA-F1-01M": 3}
+    # Only one mark is stripped, and only from a table.
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + b"indicator_id,level\nRDA-F1-01M,3\n")
+    with pytest.raises(ParseError, match="indicator_id"):
+        read_assessment_file(path)
+    marked_json = tmp_path / "a.json"
+    marked_json.write_bytes(b'\xef\xbb\xbf{"RDA-F1-01M": 3}')
+    with pytest.raises(ParseError):
+        read_assessment_file(marked_json)
+
+
 def test_read_assessment_rejects_bad_shapes(tmp_path):
     bool_level = tmp_path / "bool.json"
     bool_level.write_text(json.dumps({"RDA-F1-01M": True}), encoding="utf-8")

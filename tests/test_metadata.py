@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from commonslint.errors import DuplicateKeyError, ParseError
 from commonslint.metadata import (
     MAX_JSON_DEPTH,
-    MeasureEntry,
     MeasureInfoFile,
-    SourceRef,
     parse_json,
     parse_measure_info,
     serialize_measure_info,
@@ -119,41 +117,12 @@ def test_duplicate_nested_key_rejected():
 
 
 def test_references_block_is_not_an_entry():
-    mi = parse_measure_info(
-        json.dumps({"m1": {}, "_references": {"lou04": {"title": "T"}}})
-    )
+    references = {"lou04": {"title": "T"}, "smith20": "Smith 2020", "empty": {}}
+    mi = parse_measure_info(json.dumps({"m1": {}, "_references": references}))
     assert list(mi.entries) == ["m1"]
-    assert mi.reference_ids() == frozenset({"lou04"})
-    assert mi.references["lou04"].fields["title"] == "T"
-
-
-def test_citations_normalizes_single_string():
-    entry = MeasureEntry(measure_id="m", data={"citations": "lou04"})
-    assert entry.citations == ["lou04"]
-    entry2 = MeasureEntry(measure_id="m", data={"citations": ["a", "b"]})
-    assert entry2.citations == ["a", "b"]
-    assert MeasureEntry(measure_id="m", data={}).citations == []
-
-
-def test_sources_normalizes_single_object_and_splits_extras():
-    entry = MeasureEntry(
-        measure_id="m",
-        data={
-            "sources": {
-                "name": "ACS",
-                "url": "https://example.org",
-                "location": "Table B28001",
-                "date_accessed": "2022",
-                "publisher": "Census",
-            }
-        },
-    )
-    # Keys outside the four known ones are left in the raw data only.
-    assert entry.sources == [
-        SourceRef(
-            name="ACS", url="https://example.org", location="Table B28001", date_accessed="2022"
-        )
-    ]
+    assert mi.reference_ids() == frozenset({"lou04", "smith20", "empty"})
+    # The block is kept as parsed: a reference that is not an object is not wrapped.
+    assert mi.references == references
 
 
 def test_serialize_round_trip_structural_equality():
@@ -177,3 +146,34 @@ def test_serialize_round_trip_structural_equality():
 def test_serialize_omits_absent_references():
     mi = parse_measure_info(json.dumps({"m1": {}}))
     assert "_references" not in json.loads(serialize_measure_info(mi))
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+_DOCUMENTS = st.builds(
+    lambda entries, references: (
+        entries if references is None else {**entries, "_references": references}
+    ),
+    st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key != "_references"),
+        st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4),
+        max_size=4,
+    ),
+    st.none() | st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4),
+)
+
+
+@given(doc=_DOCUMENTS)
+@example(doc={"m": {"citations": "r1"}, "_references": {"r1": "Smith 2020", "r2": {}, "r3": None}})
+def test_serialize_writes_back_what_it_parsed(doc):
+    assert json.loads(serialize_measure_info(parse_measure_info(json.dumps(doc)))) == doc

@@ -289,6 +289,56 @@ def test_dictionary_citations_resolve_in_their_own_file(tmp_path):
     assert marked == {"a": False, "b": True}
 
 
+def _dictionary_page(tmp_path, **overrides) -> str:
+    """The dictionary page of one entry ``m`` whose file defines the reference lou04."""
+    write_info(tmp_path / "repo" / "measure_info.json", {"m": clean_entry("m", **overrides)},
+               references={"lou04": {"title": "T"}})
+    site = render_dictionary(scan_repo(tmp_path / "repo", CONFIG), tmp_path / "dict")
+    (page,) = site.measure_pages
+    return (tmp_path / "dict" / page.filename).read_text("utf-8")
+
+
+_UNRESOLVED = ' <span class="unresolved-reference">[unresolved reference]</span>'
+
+
+@pytest.mark.parametrize(
+    "citations, shown",
+    [
+        ("lou04", ["lou04"]),
+        (["lou04", 7, "ghost"], ["lou04", "ghost" + _UNRESOLVED]),
+        ("", []),
+        (None, []),
+        ({"lou04": 1}, []),
+    ],
+    ids=["single-string", "list", "empty-string", "null", "object"],
+)
+def test_dictionary_citations_take_a_single_string_as_one(tmp_path, citations, shown):
+    # A single string is one citation; a key that is not a string is skipped.
+    page = _dictionary_page(tmp_path, citations=citations)
+    _, _, rest = page.partition("  <h2>References</h2>\n  <ul>\n")
+    assert bool(rest) == bool(shown)
+    assert rest.partition("  </ul>\n")[0] == "".join(f"    <li>{item}</li>\n" for item in shown)
+
+
+def test_dictionary_sources_take_a_single_object_as_one(tmp_path):
+    page = _dictionary_page(
+        tmp_path,
+        sources={
+            "name": "ACS",
+            "url": "https://example.org",
+            "location": "Table B28001",
+            "date_accessed": "2022",
+            "publisher": "Census",
+        },
+    )
+    _, _, rest = page.partition("  <h2>Sources</h2>\n  <ul>\n")
+    assert rest.partition("  </ul>\n")[0] == (
+        '    <li><a href="https://example.org">ACS, Table B28001, accessed 2022</a></li>\n'
+    )
+    # Keys outside the four known ones are not shown.
+    assert "publisher" not in page and "Census" not in page
+
+
 def test_suite_and_dictionary_expand_each_entry_once(planted_repo, tmp_path, monkeypatch):
     root, _ = planted_repo
     snapshot = scan_repo(root, CONFIG)
