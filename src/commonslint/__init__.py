@@ -26,7 +26,6 @@ from .errors import (
     DuplicateKeyError,
     ExpansionError,
     ParseError,
-    RegistryError,
     UnknownIndicatorError,
     UnknownPrincipleError,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "MeasureEntry",
     "MeasureInfoFile",
     "ParseError",
-    "RegistryError",
     "RepoConfig",
     "RepoSnapshot",
     "SuiteReport",

@@ -17,8 +17,8 @@ from .checks import CHECK_NAMES, CHECK_ORDER, run_suite
 from .config import load_config
 from .errors import CommonsLintError, ConfigError
 from .expansion import expand_file
-from .fair import convert_checklist, read_assessment_file, score_assessment
-from .metadata import decode_utf8, load_measure_info, parse_json, serialize_measure_info
+from .fair import read_assessment_file, read_checklist_file, score_assessment
+from .metadata import load_measure_info, serialize_measure_info
 from .reports import render_dictionary, render_fair, render_suite, write_atomic
 from .scanner import RepoSnapshot, scan_repo
 
@@ -179,18 +179,14 @@ def cmd_fair(args: argparse.Namespace) -> int:
     if args.assessment:
         assessment = read_assessment_file(args.assessment)
     else:
-        text = decode_utf8(Path(args.checklist).read_bytes(), args.checklist)
-        raw = parse_json(text, args.checklist)
-        if not isinstance(raw, dict):
-            raise CommonsLintError("checklist must be a JSON object of principle -> category")
-        assessment = convert_checklist(raw)
+        assessment = read_checklist_file(args.checklist)
     report = score_assessment(assessment)
     render_fair(report, args.out)
     print(f"coverage: {report.coverage:.1%}")
     if report.gaps:
         print(f"{len(report.gaps)} gap(s) at level 1:")
         for gap in report.gaps:
-            print(f"  {gap.indicator.priority}: {gap.indicator.indicator_id} - {gap.indicator.text}")
+            print(f"  {gap.priority}: {gap.indicator_id} - {gap.text}")
     else:
         print("no gaps at level 1")
     if report.has_essential_gap:

@@ -51,10 +51,6 @@ class ExpansionError(CommonsLintError):
     """A dynamic metadata entry could not be expanded."""
 
 
-class RegistryError(CommonsLintError):
-    """The maturity-indicator registry is malformed."""
-
-
 class UnknownIndicatorError(CommonsLintError):
     """An assessment references an indicator id missing from the registry."""
 

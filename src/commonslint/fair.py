@@ -1,8 +1,9 @@
 """FAIR maturity scoring against the RDA FAIR Data Maturity Model.
 
 The 41-indicator registry ships as package data so model revisions are a
-data edit, not a code change. Assessments are hand-authored inputs (JSON
-or CSV); scoring is a pure function of assessment and registry.
+data edit, not a code change. Assessments and checklists are hand-authored
+inputs (JSON, or CSV for an assessment); scoring is a pure function of the
+assessment.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, RegistryError, UnknownIndicatorError, UnknownPrincipleError
-from .metadata import decode_utf8, parse_json
+from .errors import ParseError, UnknownIndicatorError, UnknownPrincipleError
+from .metadata import decode_utf8, parse_json, reject_duplicate_keys
 
-EXPECTED_INDICATOR_COUNT = 41
 PRIORITIES = ("Essential", "Important", "Useful")
 LEVELS = (0, 1, 2, 3, 4)
 LEVEL_LABELS = {
@@ -65,88 +65,49 @@ class FairAssessment:
 
 
 @dataclass(frozen=True)
-class Gap:
-    """An indicator assessed at level 1 (not being considered yet)."""
-
-    indicator: Indicator
-    level: int
-
-
-@dataclass(frozen=True)
 class FairReport:
-    """Scored view of an assessment, per FAIR area."""
+    """Scored view of an assessment, per FAIR area.
+
+    ``gaps`` are the indicators assessed at level 1 (not being considered
+    yet), Essential first, then by id.
+    """
 
     histograms: dict[str, dict[int, int]]
-    gaps: tuple[Gap, ...]
+    gaps: tuple[Indicator, ...]
     coverage: float
     area_averages: dict[str, float | None] = field(default_factory=dict)
     assessor: str = ""
     date: str = ""
 
     @property
-    def essential_gaps(self) -> tuple[Gap, ...]:
-        return tuple(g for g in self.gaps if g.indicator.priority == "Essential")
-
-    @property
     def has_essential_gap(self) -> bool:
-        return bool(self.essential_gaps)
+        return any(g.priority == "Essential" for g in self.gaps)
 
 
-def _build_registry(payload: dict) -> dict[str, Indicator]:
-    rows = payload.get("indicators")
-    if not isinstance(rows, list):
-        raise RegistryError("registry file must contain an 'indicators' list")
-    registry: dict[str, Indicator] = {}
-    for row in rows:
-        indicator_id = row.get("id")
-        if not indicator_id:
-            raise RegistryError("registry row missing 'id'")
-        if indicator_id in registry:
-            raise RegistryError(f"duplicate indicator id: {indicator_id}")
-        priority = row.get("priority")
-        if priority not in PRIORITIES:
-            raise RegistryError(f"unknown priority {priority!r} on {indicator_id}")
-        principle = row.get("principle", "")
-        if principle not in GUIDING_PRINCIPLES:
-            raise RegistryError(f"unknown principle {principle!r} on {indicator_id}")
-        registry[indicator_id] = Indicator(
-            indicator_id=indicator_id,
-            principle=principle,
-            text=row.get("text", ""),
-            priority=priority,
+def load_indicator_registry() -> dict[str, Indicator]:
+    """The shipped maturity-model registry, indicator id -> Indicator."""
+    raw = resources.files("commonslint.data").joinpath("fair_indicators.json").read_text("utf-8")
+    return {
+        row["id"]: Indicator(
+            indicator_id=row["id"],
+            principle=row["principle"],
+            text=row["text"],
+            priority=row["priority"],
         )
-    if len(registry) != EXPECTED_INDICATOR_COUNT:
-        raise RegistryError(
-            f"registry must contain exactly {EXPECTED_INDICATOR_COUNT} indicators, found {len(registry)}"
-        )
-    return registry
+        for row in parse_json(raw)["indicators"]
+    }
 
 
-def load_indicator_registry(source: str | Path | None = None) -> dict[str, Indicator]:
-    """Load the indicator registry, by default the shipped maturity-model file."""
-    if source is None:
-        raw = resources.files("commonslint.data").joinpath("fair_indicators.json").read_text("utf-8")
-    else:
-        raw = Path(source).read_text("utf-8")
-    try:
-        payload = parse_json(raw)
-    except ParseError as exc:
-        raise RegistryError(f"registry is not valid JSON: {exc}") from exc
-    return _build_registry(payload)
-
-
-def score_assessment(
-    assessment: FairAssessment, registry: dict[str, Indicator] | None = None
-) -> FairReport:
+def score_assessment(assessment: FairAssessment) -> FairReport:
     """Score an assessment: per-area level histograms, gap list, coverage.
 
     Level 0 means "not applicable"; such indicators count in the histogram
     but are excluded from the gap list and from area averages.
     """
-    registry = registry if registry is not None else load_indicator_registry()
+    registry = load_indicator_registry()
     histograms: dict[str, dict[int, int]] = {area: {lvl: 0 for lvl in LEVELS} for area in AREAS}
     applicable: dict[str, list[int]] = {area: [] for area in AREAS}
-    gaps: list[Gap] = []
+    gaps: list[Indicator] = []
 
     for indicator_id, level in assessment.levels.items():
         indicator = registry.get(indicator_id)
@@ -160,9 +121,9 @@ def score_assessment(
         if level >= 1:
             applicable[indicator.area].append(level)
         if level == 1:
-            gaps.append(Gap(indicator=indicator, level=level))
+            gaps.append(indicator)
 
-    gaps.sort(key=lambda g: (_PRIORITY_RANK[g.indicator.priority], g.indicator.indicator_id))
+    gaps.sort(key=lambda g: (_PRIORITY_RANK[g.priority], g.indicator_id))
     averages = {
         area: (sum(levels) / len(levels) if levels else None)
         for area, levels in applicable.items()
@@ -205,21 +166,51 @@ def convert_checklist(checklist: dict[str, str]) -> FairAssessment:
     return FairAssessment(levels=levels)
 
 
+def _read_text(rel: str) -> str:
+    return decode_utf8(Path(rel).read_bytes(), rel)
+
+
+def _read_json_object(rel: str, not_an_object: str) -> dict:
+    """The JSON object in a UTF-8 file. Any other value is a ParseError
+    saying ``not_an_object``; a key repeated in any object is a
+    DuplicateKeyError."""
+    payload = parse_json(_read_text(rel), rel, object_pairs_hook=reject_duplicate_keys)
+    if not isinstance(payload, dict):
+        raise ParseError(not_an_object, path=rel, stage="structure")
+    return payload
+
+
+def _optional_text(payload: dict, key: str, rel: str) -> str:
+    value = payload.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string or null", path=rel, stage="structure")
+    return value
+
+
+def read_checklist_file(path: str | Path) -> FairAssessment:
+    """Read a UTF-8 JSON checklist, guiding principle → category, and convert it."""
+    checklist = _read_json_object(
+        str(path), "checklist must be a JSON object of principle -> category"
+    )
+    return convert_checklist(checklist)
+
+
 def read_assessment_file(path: str | Path) -> FairAssessment:
     """Read an assessment from UTF-8 JSON or a two-column tabular file.
 
     JSON may be either a flat indicator-id → level map, or an object with a
-    ``levels`` map plus optional ``assessor``/``date``. Tabular files need
-    ``indicator_id`` and ``level`` columns and may start with a byte order
-    mark. A file that is not UTF-8, or not shaped like either form, is a
+    ``levels`` map plus optional ``assessor``/``date`` strings (null reads
+    as absent). Tabular files need ``indicator_id`` and ``level`` columns
+    and may start with a byte order mark. A file that is not UTF-8, not
+    shaped like either form, or that names an indicator twice, is a
     ParseError.
     """
-    file_path = Path(path)
-    rel = str(file_path)
-    raw = decode_utf8(file_path.read_bytes(), rel)
-    if file_path.suffix.lower() == ".csv":
+    rel = str(path)
+    if Path(rel).suffix.lower() == ".csv":
         # Spreadsheets save "CSV UTF-8" with a byte order mark.
-        reader = csv.DictReader(raw.removeprefix("\ufeff").splitlines())
+        reader = csv.DictReader(_read_text(rel).removeprefix("\ufeff").splitlines())
         fields = reader.fieldnames or []
         if "indicator_id" not in fields or "level" not in fields:
             raise ParseError(
@@ -229,27 +220,27 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
             )
         levels = {}
         for row in reader:
+            indicator_id = row["indicator_id"]
+            if indicator_id in levels:
+                raise ParseError(
+                    f"duplicate indicator {indicator_id!r}", path=rel, stage="structure"
+                )
             try:
-                levels[row["indicator_id"]] = int(row["level"])
+                levels[indicator_id] = int(row["level"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(
-                    f"non-integer level for {row.get('indicator_id')!r}",
+                    f"non-integer level for {indicator_id!r}",
                     path=rel,
                     stage="structure",
                 ) from exc
         return FairAssessment(levels=levels)
 
-    payload = parse_json(raw, rel)
-    if not isinstance(payload, dict):
-        raise ParseError("assessment must be a JSON object", path=rel, stage="structure")
-    if "levels" in payload and isinstance(payload["levels"], dict):
+    payload = _read_json_object(rel, "assessment must be a JSON object")
+    body, assessor, date = payload, "", ""
+    if isinstance(payload.get("levels"), dict):
         body = payload["levels"]
-        assessor = str(payload.get("assessor", ""))
-        date = str(payload.get("date", ""))
-    else:
-        body = payload
-        assessor = ""
-        date = ""
+        assessor = _optional_text(payload, "assessor", rel)
+        date = _optional_text(payload, "date", rel)
     levels = {}
     for key, value in body.items():
         if not isinstance(value, int) or isinstance(value, bool):

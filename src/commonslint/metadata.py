@@ -57,7 +57,8 @@ class MeasureInfoFile:
         return frozenset(self.references or {})
 
 
-def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict:
+def reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """An ``object_pairs_hook`` that raises DuplicateKeyError on a repeated key."""
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
@@ -92,6 +93,7 @@ def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> An
 
     A syntax error carries its line and byte offset. Nesting deeper than
     MAX_JSON_DEPTH is a ParseError too, whatever the caller's stack depth.
+    A DuplicateKeyError from ``object_pairs_hook`` gets ``path``.
     """
     if _too_deep(text):
         raise ParseError("nested too deeply", path=path)
@@ -101,6 +103,9 @@ def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> An
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.pos) from exc
     except RecursionError as exc:
         raise ParseError("nested too deeply", path=path) from exc
+    except DuplicateKeyError as exc:
+        exc.path = path
+        raise
 
 
 def decode_utf8(raw: bytes, path: str | None = None) -> str:
@@ -122,10 +127,7 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
     entry keys are preserved; rejecting them is validation's job.
     """
     text = decode_utf8(raw, path) if isinstance(raw, bytes) else raw
-    try:
-        document = parse_json(text, path, object_pairs_hook=_reject_duplicates)
-    except DuplicateKeyError as exc:
-        raise DuplicateKeyError(exc.key, path=path) from exc
+    document = parse_json(text, path, object_pairs_hook=reject_duplicate_keys)
 
     if not isinstance(document, dict):
         raise ParseError(

@@ -422,11 +422,11 @@ def fair_to_payload(report: FairReport) -> dict:
         "area_averages": dict(report.area_averages),
         "gaps": [
             {
-                "id": gap.indicator.indicator_id,
-                "principle": gap.indicator.principle,
-                "priority": gap.indicator.priority,
-                "text": gap.indicator.text,
-                "level": gap.level,
+                "id": gap.indicator_id,
+                "principle": gap.principle,
+                "priority": gap.priority,
+                "text": gap.text,
+                "level": 1,
             }
             for gap in report.gaps
         ],
@@ -451,10 +451,10 @@ def render_fair(report: FairReport, outdir: str | Path) -> list[str]:
     )
     if report.gaps:
         gap_rows = "".join(
-            f'    <tr class="verdict-invalid"><td>{escape(g.indicator.indicator_id)}</td>'
-            f"<td>{escape(g.indicator.principle)}</td>"
-            f"<td>{escape(g.indicator.priority)}</td>"
-            f"<td>{escape(g.indicator.text)}</td></tr>\n"
+            f'    <tr class="verdict-invalid"><td>{escape(g.indicator_id)}</td>'
+            f"<td>{escape(g.principle)}</td>"
+            f"<td>{escape(g.priority)}</td>"
+            f"<td>{escape(g.text)}</td></tr>\n"
             for g in report.gaps
         )
         gaps_html = (

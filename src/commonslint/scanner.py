@@ -157,6 +157,8 @@ class RepoSnapshot:
                 infos.append(parse_measure_info(full.read_bytes(), path=rel))
             except ParseError as exc:
                 infos.append(ParseFailure(path=rel, message=str(exc), stage=exc.stage))
+            except OSError as exc:
+                infos.append(ParseFailure(path=rel, message=f"unreadable: {exc}"))
         return tuple(infos)
 
     @cached_property

@@ -30,6 +30,7 @@ from commonslint.fair import (
     score_assessment,
 )
 from commonslint.metadata import parse_measure_info, serialize_measure_info
+from commonslint.reports import fair_to_payload
 from commonslint.scanner import scan_repo
 from commonslint.schema import check_char_limits
 from repo_fixtures import build_planted_repo, clean_entry, flagged_items, reports_for, write_info
@@ -164,10 +165,11 @@ def test_criterion_4_fair_gap_reproduction():
         "I2": "WorkingTowards", "I3": "NotAddressing", "R1": "WorkingTowards",
         "R1.1": "WorkingTowards", "R1.2": "Achieving", "R1.3": "WorkingTowards",
     }
-    report = score_assessment(convert_checklist(checklist), load_indicator_registry())
+    report = score_assessment(convert_checklist(checklist))
     essentials = [
-        (g.indicator.indicator_id, g.indicator.priority, g.level)
-        for g in report.essential_gaps
+        (g["id"], g["priority"], g["level"])
+        for g in fair_to_payload(report)["gaps"]
+        if g["priority"] == "Essential"
     ]
     ok = essentials == [("RDA-A2-01M", "Essential", 1)]
     assert _verdict(

@@ -393,6 +393,28 @@ def test_fair_requires_a_source():
         main(["fair"])
 
 
+@pytest.mark.parametrize(
+    "name, content, repeated",
+    [
+        ("a.csv", "indicator_id,level\nRDA-F1-01M,1\nRDA-F1-01M,4\n", "indicator 'RDA-F1-01M'"),
+        ("a.json", '{"RDA-F1-01M": 1, "RDA-F1-01M": 4}', "key 'RDA-F1-01M'"),
+        ("checklist.json", '{"A2": "NotAddressing", "A2": "Achieving"}', "key 'A2'"),
+    ],
+    ids=["csv", "json", "checklist"],
+)
+def test_fair_repeated_indicator_or_principle_exits_2(tmp_path, capsys, name, content, repeated):
+    # The last value would otherwise win and hide the level-1 gap.
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    source = "--checklist" if name == "checklist.json" else "--assessment"
+    code = main(["fair", source, str(path), "--out", str(tmp_path / "f")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate {repeated}\n"
+    assert not (tmp_path / "f").exists()
+
+
 def test_fair_missing_file_exits_2(tmp_path, capsys):
     code = main(["fair", "--assessment", str(tmp_path / "nope.json"), "--out", str(tmp_path / "f")])
     assert code == 2
@@ -452,6 +474,41 @@ def test_check_reports_deeply_nested_json_as_invalid(clean_repo, tmp_path, capsy
         "nested/data/distribution/measure_info.json": "nested/data/distribution/measure_info.json: nested too deeply",
         "nested/data/distribution/layer.geojson": "nested too deeply",
     }
+
+
+def test_check_reports_an_unreadable_measure_info_as_invalid(
+    clean_repo, tmp_path, capsys, monkeypatch
+):
+    dataset = clean_repo / "locked" / "data" / "distribution"
+    dataset.mkdir(parents=True)
+    (dataset / "measure_info.json").write_text(
+        json.dumps({"m": clean_entry("m")}), encoding="utf-8"
+    )
+    read_bytes = Path.read_bytes
+
+    def denied(path):
+        # What a mode-000 file gives a user who is not root.
+        if path.as_posix().endswith("locked/data/distribution/measure_info.json"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    code = main(["check", "--repo", str(clean_repo), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "overall: fail" in captured.out
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    items = {
+        (c["id"], i["verdict"]): i["detail"]
+        for c in payload["checks"]
+        for i in c["items"]
+        if i["path"] == "locked/data/distribution/measure_info.json"
+    }
+    assert items[("T8", "invalid")].startswith("unreadable: [Errno 13] Permission denied")
+    assert ("T8", "valid") not in items
+    errors = [detail for (_, verdict), detail in items.items() if verdict == "error"]
+    assert errors and all(d.startswith("file could not be parsed: unreadable:") for d in errors)
 
 
 @pytest.mark.parametrize(

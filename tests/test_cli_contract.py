@@ -52,6 +52,9 @@ _CONTENTS = (
     b'{"F1": "Achieving", "A2": "NotAddressing"}',
     b'{"F1": []}',
     b"indicator_id,level\nRDA-F1-01M,3\n",
+    b"indicator_id,level\nRDA-F1-01M,1\nRDA-F1-01M,4\n",
+    b'{"RDA-F1-01M": 1, "RDA-F1-01M": 4}',
+    b'{"levels": {"RDA-F1-01M": 1}, "assessor": null}',
 )
 _PATHS = (
     "measure_info.json",

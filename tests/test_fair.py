@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from commonslint.cli import main
 from commonslint.errors import (
     ParseError,
-    RegistryError,
     UnknownIndicatorError,
     UnknownPrincipleError,
 )
@@ -15,12 +20,15 @@ from commonslint.fair import (
     DEFAULT_CHECKLIST_LEVELS,
     GUIDING_PRINCIPLES,
     LEVEL_LABELS,
+    LEVELS,
+    PRIORITIES,
     FairAssessment,
     convert_checklist,
     load_indicator_registry,
     read_assessment_file,
     score_assessment,
 )
+from commonslint.reports import fair_to_payload
 
 EXPECTED_PER_PRINCIPLE = {
     "F1": 4, "F2": 1, "F3": 1, "F4": 1,
@@ -74,66 +82,11 @@ def test_guiding_principles_cover_registry(registry):
     assert {ind.principle for ind in registry.values()} == set(GUIDING_PRINCIPLES)
 
 
-def _registry_file(tmp_path, indicators):
-    path = tmp_path / "reg.json"
-    path.write_text(
-        json.dumps({"name": "x", "source": "y", "indicators": indicators}),
-        encoding="utf-8",
-    )
-    return path
-
-
-def _plain_rows():
-    builtin = load_indicator_registry()
-    return [
-        {
-            "id": ind.indicator_id,
-            "principle": ind.principle,
-            "text": ind.text,
-            "priority": ind.priority,
-        }
-        for ind in builtin.values()
-    ]
-
-
-def test_registry_rejects_duplicate_id(tmp_path):
-    rows = _plain_rows()
-    rows[1] = dict(rows[0])
-    with pytest.raises(RegistryError, match="duplicate"):
-        load_indicator_registry(_registry_file(tmp_path, rows))
-
-
-def test_registry_rejects_wrong_count(tmp_path):
-    with pytest.raises(RegistryError, match="41"):
-        load_indicator_registry(_registry_file(tmp_path, _plain_rows()[:40]))
-
-
-def test_registry_rejects_unknown_priority(tmp_path):
-    rows = _plain_rows()
-    rows[0]["priority"] = "Critical"
-    with pytest.raises(RegistryError, match="priority"):
-        load_indicator_registry(_registry_file(tmp_path, rows))
-
-
-def test_registry_rejects_unknown_principle(tmp_path):
-    rows = _plain_rows()
-    rows[0]["principle"] = "Z9"
-    with pytest.raises(RegistryError):
-        load_indicator_registry(_registry_file(tmp_path, rows))
-
-
-def test_registry_rejects_bad_json(tmp_path):
-    path = tmp_path / "reg.json"
-    path.write_text("[not json", encoding="utf-8")
-    with pytest.raises(RegistryError):
-        load_indicator_registry(path)
-
-
 # ---------------------------------------------------------------- scoring
 
 
 def test_all_fully_implemented_leaves_no_gaps(registry):
-    report = score_assessment(assess({iid: 4 for iid in registry}), registry)
+    report = score_assessment(assess({iid: 4 for iid in registry}))
     assert report.gaps == ()
     assert not report.has_essential_gap
     assert report.coverage == 1.0
@@ -145,16 +98,16 @@ def test_all_fully_implemented_leaves_no_gaps(registry):
 def test_single_essential_gap_detected(registry):
     levels = {iid: 4 for iid in registry}
     levels["RDA-A2-01M"] = 1
-    report = score_assessment(assess(levels), registry)
-    assert [g.indicator.indicator_id for g in report.gaps] == ["RDA-A2-01M"]
+    report = score_assessment(assess(levels))
+    assert [g.indicator_id for g in report.gaps] == ["RDA-A2-01M"]
     assert report.has_essential_gap
-    assert report.essential_gaps[0].level == 1
+    assert fair_to_payload(report)["gaps"][0]["level"] == 1
 
 
 def test_level_zero_excluded_from_gaps_and_averages(registry):
     levels = {iid: 4 for iid in registry}
     levels["RDA-A2-01M"] = 0  # not applicable
-    report = score_assessment(assess(levels), registry)
+    report = score_assessment(assess(levels))
     assert report.gaps == ()
     assert report.histograms["A"][0] == 1
     # A-area average over the remaining applicable indicators is still 4.
@@ -164,7 +117,7 @@ def test_level_zero_excluded_from_gaps_and_averages(registry):
 
 def test_histogram_conserves_counts(registry):
     levels = {iid: (i % 5) for i, iid in enumerate(sorted(registry))}
-    report = score_assessment(assess(levels), registry)
+    report = score_assessment(assess(levels))
     assert sum(sum(h.values()) for h in report.histograms.values()) == 41
     for area in AREAS:
         assert set(report.histograms[area]) == {0, 1, 2, 3, 4}
@@ -174,8 +127,8 @@ def test_gaps_sorted_by_priority_then_id(registry):
     levels = {iid: 4 for iid in registry}
     for iid in ("RDA-I3-01D", "RDA-A2-01M", "RDA-I3-01M", "RDA-F4-01M"):
         levels[iid] = 1
-    report = score_assessment(assess(levels), registry)
-    ordered = [(g.indicator.priority, g.indicator.indicator_id) for g in report.gaps]
+    report = score_assessment(assess(levels))
+    ordered = [(g.priority, g.indicator_id) for g in report.gaps]
     assert ordered == [
         ("Essential", "RDA-A2-01M"),
         ("Essential", "RDA-F4-01M"),
@@ -184,18 +137,44 @@ def test_gaps_sorted_by_priority_then_id(registry):
     ]
 
 
-def test_partial_assessment_reports_coverage(registry):
-    report = score_assessment(assess({"RDA-F1-01M": 3}), registry)
+def test_partial_assessment_reports_coverage():
+    report = score_assessment(assess({"RDA-F1-01M": 3}))
     assert report.coverage == pytest.approx(1 / 41)
     assert report.histograms["F"][3] == 1
     assert report.area_averages["F"] == 3.0
     assert report.area_averages["A"] is None
 
 
+_REGISTRY = load_indicator_registry()
+_ASSESSMENTS = st.dictionaries(st.sampled_from(sorted(_REGISTRY)), st.sampled_from(LEVELS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=_ASSESSMENTS)
+def test_score_assessment_matches_a_brute_force_oracle(levels):
+    report = score_assessment(assess(levels))
+    area_of = {iid: ind.area for iid, ind in _REGISTRY.items()}
+    for area in AREAS:
+        for level in LEVELS:
+            expected = sum(1 for i, lv in levels.items() if area_of[i] == area and lv == level)
+            assert report.histograms[area][level] == expected
+        applicable = [lv for i, lv in levels.items() if area_of[i] == area and lv != 0]
+        if applicable:
+            assert report.area_averages[area] == pytest.approx(sum(applicable) / len(applicable))
+        else:
+            assert report.area_averages[area] is None
+    assert sum(sum(h.values()) for h in report.histograms.values()) == len(levels)
+    gaps = [_REGISTRY[i] for i, lv in levels.items() if lv == 1]
+    gaps.sort(key=lambda g: (PRIORITIES.index(g.priority), g.indicator_id))
+    assert report.gaps == tuple(gaps)
+    assert report.has_essential_gap == any(g.priority == "Essential" for g in gaps)
+    assert report.coverage == len(levels) / 41
+
+
 @pytest.mark.parametrize("bad_levels", [{"RDA-XX-99Z": 2}, {"RDA-F1-01M": 5}, {"RDA-F1-01M": -1}])
-def test_score_rejects_unknown_inputs(registry, bad_levels):
+def test_score_rejects_unknown_inputs(bad_levels):
     with pytest.raises(UnknownIndicatorError):
-        score_assessment(assess(bad_levels), registry)
+        score_assessment(assess(bad_levels))
 
 
 def test_level_labels_closed():
@@ -218,19 +197,19 @@ def test_convert_checklist_mapping():
     assert set(assessment.levels.values()) == {2}
 
 
-def test_convert_checklist_headline_scenario(registry):
+def test_convert_checklist_headline_scenario():
     assessment = convert_checklist(CHECKLIST_WITH_A2_GAP)
     assert len(assessment.levels) == 41
-    report = score_assessment(assessment, registry)
-    essential_ids = [g.indicator.indicator_id for g in report.essential_gaps]
+    report = score_assessment(assessment)
+    essential_ids = [g.indicator_id for g in report.gaps if g.priority == "Essential"]
     assert essential_ids == ["RDA-A2-01M"]
     # NotAddressing on I3 surfaces as lower-priority gaps, not Essential ones.
-    assert {g.indicator.priority for g in report.gaps} >= {"Important", "Useful"}
+    assert {g.priority for g in report.gaps} >= {"Important", "Useful"}
 
 
-def test_convert_checklist_all_achieving(registry):
+def test_convert_checklist_all_achieving():
     assessment = convert_checklist({p: "Achieving" for p in GUIDING_PRINCIPLES})
-    report = score_assessment(assessment, registry)
+    report = score_assessment(assessment)
     assert report.gaps == ()
     assert report.coverage == 1.0
 
@@ -314,9 +293,60 @@ def test_read_assessment_rejects_bad_shapes(tmp_path):
         read_assessment_file(syntax)
 
 
-def test_end_to_end_file_to_report(tmp_path, registry):
+def test_read_assessment_null_assessor_and_date_read_as_absent(tmp_path):
+    path = tmp_path / "a.json"
+    levels = {"RDA-F1-01M": 4}
+    path.write_text(json.dumps({"levels": levels, "assessor": None, "date": None}), "utf-8")
+    assessment = read_assessment_file(path)
+    assert (assessment.assessor, assessment.date) == ("", "")
+    payload = fair_to_payload(score_assessment(assessment))
+    assert (payload["assessor"], payload["date"]) == ("", "")
+    for key, value in (("assessor", {"a": 1}), ("date", 20240501), ("assessor", True)):
+        path.write_text(json.dumps({"levels": levels, key: value}), "utf-8")
+        with pytest.raises(ParseError, match=f"{key} must be a string or null"):
+            read_assessment_file(path)
+
+
+def _fair_run(source: Path, out: Path) -> tuple[int, str, dict[str, bytes]]:
+    """``fair --assessment`` on ``source``: exit code, stdout, and the files in ``out``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["fair", "--assessment", str(source), "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+    return code, stdout.getvalue(), files
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    levels=_ASSESSMENTS,
+    repeat=st.none() | st.tuples(st.integers(0, 40), st.sampled_from(LEVELS)),
+)
+def test_csv_and_flat_json_assessments_give_the_same_report(levels, repeat):
+    rows = list(levels.items())
+    if repeat is not None and rows:
+        index, level = repeat
+        rows.insert(index % (len(rows) + 1), (rows[index % len(rows)][0], level))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table = tmp / "a.csv"
+        table.write_text("indicator_id,level\n" + "".join(f"{i},{lv}\n" for i, lv in rows), "utf-8")
+        flat = tmp / "a.json"
+        flat.write_text("{" + ", ".join(f'"{i}": {lv}' for i, lv in rows) + "}", "utf-8")
+        from_table = _fair_run(table, tmp / "out")
+        for name in from_table[2]:
+            (tmp / "out" / name).unlink()
+        from_json = _fair_run(flat, tmp / "out")
+    assert from_table == from_json
+    if len(rows) > len(levels):
+        assert from_table == (2, "", {})
+    else:
+        assert from_table[0] == 0
+        assert set(from_table[2]) == {"fair.html", "fair.json"}
+
+
+def test_end_to_end_file_to_report(tmp_path):
     assessment = convert_checklist(CHECKLIST_WITH_A2_GAP)
     path = tmp_path / "levels.json"
     path.write_text(json.dumps(assessment.levels), encoding="utf-8")
-    report = score_assessment(read_assessment_file(path), registry)
+    report = score_assessment(read_assessment_file(path))
     assert report.has_essential_gap

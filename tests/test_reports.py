@@ -412,7 +412,7 @@ def fair_report():
     levels = {iid: 4 for iid in registry}
     levels["RDA-A2-01M"] = 1
     levels["RDA-I3-01D"] = 0
-    return score_assessment(FairAssessment(levels=levels), registry)
+    return score_assessment(FairAssessment(levels=levels))
 
 
 def test_render_fair_files_and_ids(fair_report, tmp_path):
@@ -437,8 +437,7 @@ def test_render_fair_json_payload(fair_report, tmp_path):
 def test_render_fair_no_gap_variant(tmp_path):
     registry = load_indicator_registry()
     report = score_assessment(
-        convert_checklist({p: "Achieving" for p in sorted({i.principle for i in registry.values()})}),
-        registry,
+        convert_checklist({p: "Achieving" for p in sorted({i.principle for i in registry.values()})})
     )
     render_fair(report, tmp_path / "fair")
     texts = ids_in(tmp_path / "fair" / "fair.html")
