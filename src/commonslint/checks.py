@@ -104,12 +104,6 @@ class SuiteReport:
     enforcement: dict[str, str] = field(default_factory=dict)
     overall_pass: bool = True
 
-    def report_for(self, cid: str) -> CheckReport:
-        for report in self.reports:
-            if report.check.id == cid:
-                return report
-        raise KeyError(cid)
-
 
 def format_percentage(count: int, total: int) -> str:
     """Render 100*count/total to one decimal, ties away from zero, '%'-suffixed."""

@@ -19,8 +19,8 @@ from .errors import CommonsLintError, ConfigError
 from .expansion import expand_file
 from .fair import read_assessment_file, read_checklist_file, score_assessment
 from .metadata import load_measure_info, serialize_measure_info
-from .reports import render_dictionary, render_fair, render_suite, write_atomic
-from .scanner import RepoSnapshot, scan_repo
+from .reports import render_dictionary, render_fair, render_suite, suite_filenames, write_atomic
+from .scanner import ParseFailure, RepoSnapshot, scan_repo
 
 EXIT_PASS = 0
 EXIT_FAILURES = 1
@@ -101,8 +101,7 @@ def _without_reports(snapshot: RepoSnapshot, out: str) -> RepoSnapshot:
     if rel == os.pardir or rel.startswith(os.pardir + os.sep):
         return snapshot
     prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
-    names = [f"{name}.html" for name in CHECK_NAMES.values()] + ["index.html", "suite.json"]
-    written = {prefix + name for name in names}
+    written = {prefix + name for name in suite_filenames(CHECK_NAMES.values())}
     return dataclasses.replace(
         snapshot, files=tuple(f for f in snapshot.files if f.path not in written)
     )
@@ -167,10 +166,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_dict(args: argparse.Namespace) -> int:
     config = load_config(args.config, repo_root=args.repo)
     snapshot = scan_repo(args.repo, config)
-    site = render_dictionary(snapshot, args.out)
+    for info in snapshot.measure_info_files:
+        if isinstance(info, ParseFailure):
+            reason = info.message.removeprefix(f"{info.path}: ")
+            print(f"warning: {info.path} left out of the dictionary: {reason}", file=sys.stderr)
+    written = render_dictionary(snapshot, args.out)
+    measures = sum(name.startswith("measures/") for name in written)
+    categories = sum(name.startswith("categories/") for name in written)
     print(
-        f"dictionary written to {_shown(site.outdir)}/"
-        f" ({len(site.measure_pages)} measures, {len(site.category_files)} categories)"
+        f"dictionary written to {_shown(Path(args.out))}/"
+        f" ({measures} measures, {categories} categories)"
     )
     return EXIT_PASS
 

@@ -202,10 +202,10 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
 
     JSON may be either a flat indicator-id → level map, or an object with a
     ``levels`` map plus optional ``assessor``/``date`` strings (null reads
-    as absent). Tabular files need ``indicator_id`` and ``level`` columns
-    and may start with a byte order mark. A file that is not UTF-8, not
-    shaped like either form, or that names an indicator twice, is a
-    ParseError.
+    as absent) and no other key. Tabular files need ``indicator_id`` and
+    ``level`` columns and may start with a byte order mark. A file that is
+    not UTF-8, not shaped like either form, or that names an indicator
+    twice, is a ParseError.
     """
     rel = str(path)
     if Path(rel).suffix.lower() == ".csv":
@@ -238,6 +238,13 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
     payload = _read_json_object(rel, "assessment must be a JSON object")
     body, assessor, date = payload, "", ""
     if isinstance(payload.get("levels"), dict):
+        unknown = [key for key in payload if key not in ("levels", "assessor", "date")]
+        if unknown:
+            raise ParseError(
+                f"unknown assessment key {unknown[0]!r}; expected levels, assessor, date",
+                path=rel,
+                stage="structure",
+            )
         body = payload["levels"]
         assessor = _optional_text(payload, "assessor", rel)
         date = _optional_text(payload, "date", rel)

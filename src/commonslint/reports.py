@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from html import escape
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterable
 
 from .checks import VERDICTS, SuiteReport, format_percentage
 from .errors import ExpansionError
@@ -176,21 +176,24 @@ def _check_page(report, enforcement: str) -> str:
     return _page(f"{report.check.name} [{cid}]", body)
 
 
+def suite_filenames(check_names: Iterable[str]) -> list[str]:
+    """The files ``render_suite`` writes for checks of these names, in write order."""
+    return [*(f"{name}.html" for name in check_names), "index.html", "suite.json"]
+
+
 def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
     """Write one HTML page per check, an index page, and suite.json.
 
-    Returns the filenames written, check pages first, in write order.
+    Returns the filenames written, ``suite_filenames`` of the suite's checks.
     """
     out = Path(outdir)
 
-    filenames: list[str] = []
+    filenames = suite_filenames(report.check.name for report in suite.reports)
     index_lines = []
-    for report in suite.reports:
+    for report, filename in zip(suite.reports, filenames):
         cid = report.check.id
         enforcement = suite.enforcement.get(cid, "enforced")
-        filename = f"{report.check.name}.html"
         write_atomic(out / filename, _check_page(report, enforcement))
-        filenames.append(filename)
         index_lines.append(
             f'    <li id="line-{cid}"><a href="{filename}">{escape(report.check.name)}</a>'
             f" [{cid}]: {escape(report.summary_line())} &middot; {escape(enforcement)}</li>\n"
@@ -206,36 +209,26 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
     )
     write_atomic(out / "index.html", _page("Check suite report", index_body))
     write_atomic(out / "suite.json", _suite_json(suite))
-    return [*filenames, "index.html", "suite.json"]
+    return filenames
 
 
 # ---------------------------------------------------------------- dictionary
 
 
-@dataclass(frozen=True)
-class DictionaryPage:
-    """One rendered measure page."""
-
-    measure_id: str
-    filename: str
-    category: str
-
-
-@dataclass(frozen=True)
-class DictionarySite:
-    """Layout of a rendered dictionary: relative filenames under outdir."""
-
-    outdir: str
-    measure_pages: tuple[DictionaryPage, ...]
-    category_files: tuple[str, ...]
-
-
 _SLUG_RE = re.compile(r"[^a-z0-9._-]+")
 
 
-def _slug(text: str) -> str:
-    cleaned = _SLUG_RE.sub("-", text.lower()).strip("-")
-    return cleaned or "untitled"
+def _page_name(used: set[str], folder: str, text: str) -> str:
+    """``folder/<slug>.html`` for ``text``, or ``folder/<slug>-N.html`` when
+    ``used`` already holds that name. The name returned is added to ``used``."""
+    slug = _SLUG_RE.sub("-", text.lower()).strip("-") or "untitled"
+    name = f"{folder}/{slug}.html"
+    serial = 1
+    while name in used:
+        serial += 1
+        name = f"{folder}/{slug}-{serial}.html"
+    used.add(name)
+    return name
 
 
 _DISPLAY_FIELDS = (
@@ -325,8 +318,13 @@ def _measure_page(
     return _page(title, body)
 
 
-def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionarySite:
-    """Render the static data dictionary: measure pages, category pages, index."""
+def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
+    """Render the static data dictionary: measure pages, category pages, index.
+
+    Returns the filenames written: measure pages, then category pages, then
+    ``index.html``. Measure pages are named by id and category pages by
+    category, each by ``_page_name`` from one set of names.
+    """
     out = Path(outdir)
 
     # Expand every parsed measure_info once; expansion failures keep the raw
@@ -347,63 +345,48 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> DictionaryS
 
     rendered.sort(key=lambda item: item[0].measure_id)
 
-    pages: list[DictionaryPage] = []
+    written: list[str] = []
     used: set[str] = set()
+    measure_links: list[str] = []
     by_category: dict[str, list[tuple[str, str]]] = {}
     for entry, source_path, note, references in rendered:
-        base = _slug(entry.measure_id)
-        filename = f"measures/{base}.html"
-        serial = 1
-        while filename in used:
-            serial += 1
-            filename = f"measures/{base}-{serial}.html"
-        used.add(filename)
+        filename = _page_name(used, "measures", entry.measure_id)
         category = str(entry.get("category") or "uncategorized")
-        pages.append(
-            DictionaryPage(measure_id=entry.measure_id, filename=filename, category=category)
-        )
         by_category.setdefault(category, []).append((entry.measure_id, filename))
         write_atomic(out / filename, _measure_page(entry, source_path, references, note))
+        written.append(filename)
+        measure_links.append(
+            f'    <li><a href="{filename}">{escape(entry.measure_id)}</a>'
+            f" <small>({escape(category)})</small></li>\n"
+        )
 
-    category_files: list[str] = []
+    category_links: list[str] = []
     for category in sorted(by_category):
-        cat_file = f"categories/{_slug(category)}.html"
-        category_files.append(cat_file)
+        filename = _page_name(used, "categories", category)
         links = "".join(
-            f'    <li><a href="../{filename}">{escape(measure_id)}</a></li>\n'
-            for measure_id, filename in sorted(by_category[category])
+            f'    <li><a href="../{page}">{escape(measure_id)}</a></li>\n'
+            for measure_id, page in sorted(by_category[category])
         )
         body = (
             f"  <h1>Category: {escape(category)}</h1>\n"
             "  <ul>\n" + links + "  </ul>\n"
             '  <p><a href="../index.html">All measures</a></p>\n'
         )
-        write_atomic(out / cat_file, _page(f"Category: {category}", body))
+        write_atomic(out / filename, _page(f"Category: {category}", body))
+        written.append(filename)
+        category_links.append(f'    <li><a href="{filename}">{escape(category)}</a></li>\n')
 
-    measure_links = "".join(
-        f'    <li><a href="{page.filename}">{escape(page.measure_id)}</a>'
-        f" <small>({escape(page.category)})</small></li>\n"
-        for page in pages
-    )
-    category_links = "".join(
-        f'    <li><a href="categories/{_slug(category)}.html">{escape(category)}</a></li>\n'
-        for category in sorted(by_category)
-    )
     index_body = (
         "  <h1>Data dictionary</h1>\n"
-        f"  <p>{len(pages)} measures.</p>\n"
+        f"  <p>{len(measure_links)} measures.</p>\n"
         "  <h2>Categories</h2>\n"
-        "  <ul>\n" + category_links + "  </ul>\n"
+        "  <ul>\n" + "".join(category_links) + "  </ul>\n"
         "  <h2>All measures</h2>\n"
-        "  <ul>\n" + measure_links + "  </ul>\n"
+        "  <ul>\n" + "".join(measure_links) + "  </ul>\n"
     )
     write_atomic(out / "index.html", _page("Data dictionary", index_body))
-
-    return DictionarySite(
-        outdir=str(out),
-        measure_pages=tuple(pages),
-        category_files=tuple(category_files),
-    )
+    written.append("index.html")
+    return written
 
 
 # ---------------------------------------------------------------- FAIR

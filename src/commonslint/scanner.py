@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .config import RepoConfig, default_config
 from .errors import ParseError
-from .metadata import MeasureInfoFile, parse_json, parse_measure_info
+from .metadata import MeasureInfoFile, decode_utf8, parse_json, parse_measure_info
 
 _TABULAR_EXTENSIONS = {".csv"}
 _COMPRESSION_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
@@ -198,11 +198,13 @@ class RepoSnapshot:
 
 
 def _json_verdict(path: Path) -> str | None:
+    # Decoded from the bytes as measure_info is, so the same bytes get the
+    # same verdict: no newline translation, and the same UTF-8 message.
     try:
-        parse_json(path.read_text("utf-8"))
+        parse_json(decode_utf8(path.read_bytes()))
     except ParseError as exc:
         return str(exc)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         return f"unreadable: {exc}"
     return None
 

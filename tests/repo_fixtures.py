@@ -321,10 +321,18 @@ def flagged_items(report) -> set[tuple]:
     }
 
 
+def report_for(suite, cid: str):
+    """The CheckReport of check ``cid`` in a SuiteReport; KeyError when it did not run."""
+    for report in suite.reports:
+        if report.check.id == cid:
+            return report
+    raise KeyError(cid)
+
+
 def reports_for(snapshot, config, *cids: str) -> tuple:
     """The reports of the named checks, in the order named, from one suite run."""
     suite = run_suite(snapshot, config, set(cids))
-    return tuple(suite.report_for(cid) for cid in cids)
+    return tuple(report_for(suite, cid) for cid in cids)
 
 
 def count_parses(monkeypatch) -> tuple[Counter, Counter]:

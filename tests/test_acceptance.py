@@ -33,7 +33,7 @@ from commonslint.metadata import parse_measure_info, serialize_measure_info
 from commonslint.reports import fair_to_payload
 from commonslint.scanner import scan_repo
 from commonslint.schema import check_char_limits
-from repo_fixtures import build_planted_repo, clean_entry, flagged_items, reports_for, write_info
+from repo_fixtures import build_planted_repo, clean_entry, flagged_items, report_for, reports_for, write_info
 
 CONFIG = default_config()
 
@@ -91,7 +91,7 @@ def test_criterion_2_catalog_precision_recall(tmp_path):
     suite = run_suite(scan_repo(root, config), config)
     mismatches = {}
     for cid in CHECK_ORDER:
-        got = flagged_items(suite.report_for(cid))
+        got = flagged_items(report_for(suite, cid))
         if got != manifest[cid]:
             mismatches[cid] = {"flagged": got, "expected": manifest[cid]}
     elapsed = time.perf_counter() - started

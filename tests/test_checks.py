@@ -28,6 +28,7 @@ from repo_fixtures import (
     clean_entry,
     flagged_items,
     oracle_payload,
+    report_for,
     reports_for,
     write_info,
     write_table,
@@ -463,7 +464,7 @@ def test_expansion_collision_is_error_as_in_expand(tmp_path, order, failed_key):
     suite = run_suite(snapshot, CONFIG)
     assert [r.check.id for r in suite.reports if not r.passed] == ["T14"]
     assert not suite.overall_pass
-    t14 = suite.report_for("T14")
+    t14 = report_for(suite, "T14")
     assert flagged_items(t14) == {("measure_info.json", failed_key, "error")}
     (error,) = [i for i in t14.items if i.verdict == "error"]
     with pytest.raises(ExpansionError) as raised:
@@ -680,7 +681,7 @@ def test_warn_tier_does_not_gate(tmp_path):
     code.write_text("pass\n", encoding="utf-8")
     suite = run_suite(scan_repo(tmp_path, config), config)
     # T10 flags rogue but is warn-tier by default, so the suite passes.
-    assert flagged_items(suite.report_for("T10")) == {("data/distribution/t.csv", "rogue", "invalid")}
+    assert flagged_items(report_for(suite, "T10")) == {("data/distribution/t.csv", "rogue", "invalid")}
     assert suite.overall_pass
     # Strict mode upgrades the warning to enforced and the suite fails.
     strict = run_suite(scan_repo(tmp_path, config), config, strict=True)
@@ -698,7 +699,7 @@ def test_off_tier_excluded_from_gating(tmp_path):
     (tmp_path / LONG_NAME_101).write_text("x", encoding="utf-8")
     config = parse_config({"checks": {"T13": {"enforcement": "off"}}})
     suite = run_suite(scan_repo(tmp_path, config), config)
-    assert not suite.report_for("T13").passed
+    assert not report_for(suite, "T13").passed
     assert suite.overall_pass
 
 
@@ -707,7 +708,7 @@ def test_path_scoping_excludes_items(tmp_path):
     (tmp_path / "legacy" / LONG_NAME_101).write_text("x", encoding="utf-8")
     config = parse_config({"checks": {"T13": {"exclude": ["legacy/*"]}}})
     suite = run_suite(scan_repo(tmp_path, config), config)
-    assert suite.report_for("T13").total == 0
+    assert report_for(suite, "T13").total == 0
     assert suite.overall_pass
 
 
@@ -721,7 +722,7 @@ def test_monotonicity_adding_violations_never_helps(planted_repo):
     (root / "assets" / ("c" * 97 + ".txt")).write_text("x", encoding="utf-8")
     after = run_suite(scan_repo(root, config), config)
     for cid in CHECK_ORDER:
-        b, a = before.report_for(cid).counts, after.report_for(cid).counts
+        b, a = report_for(before, cid).counts, report_for(after, cid).counts
         for verdict in ("invalid", "missing", "extra", "error"):
             assert a[verdict] >= b[verdict]
     assert not after.overall_pass

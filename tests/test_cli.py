@@ -312,6 +312,22 @@ def test_dict_empty_repo_is_fine(tmp_path, capsys):
     assert "0 measures" in out
 
 
+def test_dict_warns_of_each_measure_info_it_leaves_out(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    (repo / "a").mkdir(parents=True)
+    (repo / "a" / "measure_info.json").write_text('{"m": }', encoding="utf-8")
+    write_info(repo / "b" / "measure_info.json", {"n": clean_entry("n")})
+    code = main(["dict", "--repo", str(repo), "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        "warning: a/measure_info.json left out of the dictionary:"
+        " Expecting value (line 1, offset 6)\n"
+    )
+    assert "(1 measures, 1 categories)" in captured.out
+    assert (tmp_path / "d" / "measures" / "n.html").is_file()
+
+
 def test_dict_shows_source_fields_that_are_not_strings(tmp_path, capsys):
     sources = [
         {"name": 3, "location": 5, "url": 7, "date_accessed": 2022},

@@ -55,6 +55,7 @@ _CONTENTS = (
     b"indicator_id,level\nRDA-F1-01M,1\nRDA-F1-01M,4\n",
     b'{"RDA-F1-01M": 1, "RDA-F1-01M": 4}',
     b'{"levels": {"RDA-F1-01M": 1}, "assessor": null}',
+    b'{"levels": {"RDA-F1-01M": 1}, "asessor": "x", "extra": 1}',
 )
 _PATHS = (
     "measure_info.json",

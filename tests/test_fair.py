@@ -307,6 +307,20 @@ def test_read_assessment_null_assessor_and_date_read_as_absent(tmp_path):
             read_assessment_file(path)
 
 
+def test_read_assessment_rejects_unknown_keys_beside_levels(tmp_path):
+    # A misspelt "assessor" would otherwise be dropped without a word.
+    path = tmp_path / "a.json"
+    path.write_text(
+        json.dumps({"levels": {"RDA-F1-01M": 1}, "asessor": "x", "extra": 1}), "utf-8"
+    )
+    with pytest.raises(ParseError, match="unknown assessment key 'asessor'") as caught:
+        read_assessment_file(path)
+    assert caught.value.path == str(path)
+    # The flat form names indicators at the top level, so its keys go to scoring.
+    path.write_text(json.dumps({"RDA-F1-01M": 1}), "utf-8")
+    assert read_assessment_file(path).levels == {"RDA-F1-01M": 1}
+
+
 def _fair_run(source: Path, out: Path) -> tuple[int, str, dict[str, bytes]]:
     """``fair --assessment`` on ``source``: exit code, stdout, and the files in ``out``."""
     stdout = io.StringIO()

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import re
+import tempfile
+from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commonslint import checks, reports
+from commonslint import checks, cli, reports
 from commonslint.checks import (
     CHECK_NAMES,
     CHECK_ORDER,
@@ -222,6 +228,16 @@ def test_suite_json_writer_matches_json_dumps(suite):
 # ---------------------------------------------------------------- dictionary
 
 
+def measure_pages(outdir: Path, written: list[str]) -> list[tuple[str, str]]:
+    """(measure id, filename) of each written page that shows a measure id."""
+    pages = []
+    for filename in written:
+        texts = ids_in(outdir / filename)
+        if "measure-id" in texts:
+            pages.append((texts["measure-id"], filename))
+    return pages
+
+
 def _dictionary_repo(tmp_path):
     write_info(
         tmp_path / "measure_info.json",
@@ -244,29 +260,31 @@ def _dictionary_repo(tmp_path):
 
 
 def test_dictionary_expands_dynamic_entries(tmp_path):
-    site = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
-    ids = sorted(p.measure_id for p in site.measure_pages)
+    written = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
+    pages = measure_pages(tmp_path / "dict", written)
+    ids = sorted(measure_id for measure_id, _ in pages)
     assert ids == ["bb_dl_mean", "bb_dl_median", "bb_ul_mean", "bb_ul_median", "no_computer"]
-    for page in site.measure_pages:
-        assert (tmp_path / "dict" / page.filename).is_file()
-        assert page.filename.startswith("measures/")
+    for _, filename in pages:
+        assert (tmp_path / "dict" / filename).is_file()
+        assert filename.startswith("measures/")
     index = (tmp_path / "dict" / "index.html").read_text("utf-8")
     assert "5 measures." in index
-    for page in site.measure_pages:
-        assert page.filename in index
+    for _, filename in pages:
+        assert filename in index
 
 
 def test_dictionary_category_pages(tmp_path):
-    site = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
-    assert site.category_files == ("categories/broadband.html",)
+    written = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
+    # Five measure pages, then the one category page, then the index.
+    assert written[5:] == ["categories/broadband.html", "index.html"]
     category = (tmp_path / "dict" / "categories" / "broadband.html").read_text("utf-8")
     assert "no_computer" in category
     assert '"../measures/' in category  # relative links back up to measure pages
 
 
 def test_dictionary_citation_resolution_marker(tmp_path):
-    site = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
-    page_for = {p.measure_id: p.filename for p in site.measure_pages}
+    written = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
+    page_for = dict(measure_pages(tmp_path / "dict", written))
     dynamic = (tmp_path / "dict" / page_for["bb_dl_mean"]).read_text("utf-8")
     # lou04 resolves against _references; ghost99 does not.
     assert dynamic.count("[unresolved reference]") == 1
@@ -280,10 +298,10 @@ def test_dictionary_citations_resolve_in_their_own_file(tmp_path):
     write_info(tmp_path / "a" / "measure_info.json", {"m": clean_entry("m", citations=["k"])},
                references={"k": {"title": "K"}})
     write_info(tmp_path / "b" / "measure_info.json", {"m": clean_entry("m", citations=["k"])})
-    site = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
+    written = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
     marked = {}
-    for page in site.measure_pages:
-        html = (tmp_path / "dict" / page.filename).read_text("utf-8")
+    for _, filename in measure_pages(tmp_path / "dict", written):
+        html = (tmp_path / "dict" / filename).read_text("utf-8")
         source = "a" if "<code>a/measure_info.json</code>" in html else "b"
         marked[source] = "[unresolved reference]" in html
     assert marked == {"a": False, "b": True}
@@ -293,9 +311,9 @@ def _dictionary_page(tmp_path, **overrides) -> str:
     """The dictionary page of one entry ``m`` whose file defines the reference lou04."""
     write_info(tmp_path / "repo" / "measure_info.json", {"m": clean_entry("m", **overrides)},
                references={"lou04": {"title": "T"}})
-    site = render_dictionary(scan_repo(tmp_path / "repo", CONFIG), tmp_path / "dict")
-    (page,) = site.measure_pages
-    return (tmp_path / "dict" / page.filename).read_text("utf-8")
+    written = render_dictionary(scan_repo(tmp_path / "repo", CONFIG), tmp_path / "dict")
+    ((_, filename),) = measure_pages(tmp_path / "dict", written)
+    return (tmp_path / "dict" / filename).read_text("utf-8")
 
 
 _UNRESOLVED = ' <span class="unresolved-reference">[unresolved reference]</span>'
@@ -362,8 +380,8 @@ def test_suite_and_dictionary_expand_each_entry_once(planted_repo, tmp_path, mon
 
 
 def test_dictionary_measure_page_fields(tmp_path):
-    site = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
-    page_for = {p.measure_id: p.filename for p in site.measure_pages}
+    written = render_dictionary(_dictionary_repo(tmp_path), tmp_path / "dict")
+    page_for = dict(measure_pages(tmp_path / "dict", written))
     texts = ids_in(tmp_path / "dict" / page_for["no_computer"])
     assert texts["measure-id"] == "no_computer"
     assert texts["field-measure_type"] == "percent"
@@ -375,25 +393,89 @@ def test_dictionary_unexpandable_entry_noted(tmp_path):
         tmp_path / "measure_info.json",
         {"fixed": clean_entry("fixed", categories=["a", "b"])},
     )
-    site = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
-    (page,) = site.measure_pages
-    html = (tmp_path / "dict" / page.filename).read_text("utf-8")
+    written = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
+    ((_, filename),) = measure_pages(tmp_path / "dict", written)
+    html = (tmp_path / "dict" / filename).read_text("utf-8")
     assert "could not be expanded" in html
 
 
 def test_dictionary_duplicate_ids_get_serial_filenames(tmp_path):
     write_info(tmp_path / "a" / "measure_info.json", {"m": clean_entry("m")})
     write_info(tmp_path / "b" / "measure_info.json", {"m": clean_entry("m")})
-    site = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
-    filenames = sorted(p.filename for p in site.measure_pages)
+    written = render_dictionary(scan_repo(tmp_path, CONFIG), tmp_path / "dict")
+    filenames = sorted(filename for _, filename in measure_pages(tmp_path / "dict", written))
     assert filenames == ["measures/m-2.html", "measures/m.html"]
 
 
 def test_dictionary_empty_repo(tmp_path):
     (tmp_path / "repo").mkdir()
-    site = render_dictionary(scan_repo(tmp_path / "repo", CONFIG), tmp_path / "dict")
-    assert site.measure_pages == ()
+    written = render_dictionary(scan_repo(tmp_path / "repo", CONFIG), tmp_path / "dict")
+    assert written == ["index.html"]
     assert "0 measures." in (tmp_path / "dict" / "index.html").read_text("utf-8")
+
+
+def links_in(path: Path) -> list[tuple[str, str]]:
+    """(href, text) of every link on a dictionary page, unescaped."""
+    found = re.findall(r'<a href="([^"]*)">([^<]*)</a>', path.read_text("utf-8"))
+    return [(unescape(href), unescape(text)) for href, text in found]
+
+
+# Ids and categories whose slugs collide ("m-1", "health-care", "untitled"),
+# and categories that all read as "uncategorized".
+_IDS = st.sampled_from(["m_1", "M 1", "m-1", "m.1", "!!", "untitled", "é"])
+_CATEGORIES = st.sampled_from(
+    ["Health Care", "health-care", "health_care", "HEALTH  CARE!", "uncategorized", "", None, 3]
+)
+_INFOS = st.lists(
+    st.dictionaries(_IDS, _CATEGORIES, min_size=1, max_size=4), min_size=1, max_size=2
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(infos=_INFOS)
+@example(infos=[{"m1": "Health Care", "m2": "health-care"}])
+def test_dictionary_gives_every_measure_one_linked_page(infos):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        expected = []
+        for n, categories in enumerate(infos):
+            write_info(tmp / "repo" / str(n) / "measure_info.json",
+                       {mid: {"category": category} for mid, category in categories.items()})
+            expected += [(mid, f"{n}/measure_info.json", str(category or "uncategorized"))
+                         for mid, category in categories.items()]
+
+        written = []
+
+        def recording(*args):
+            written[:] = reports.render_dictionary(*args)
+            return written
+
+        out = tmp / "dict"
+        with mock.patch.object(cli, "render_dictionary", recording), contextlib.redirect_stdout(
+            io.StringIO()
+        ) as stdout:
+            assert cli.main(["dict", "--repo", str(tmp / "repo"), "--out", str(out)]) == 0
+
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert sorted(written) == files
+        measures = [name for name in files if name.startswith("measures/")]
+        categories = [name for name in files if name.startswith("categories/")]
+        assert f"({len(measures)} measures, {len(categories)} categories)" in stdout.getvalue()
+
+        # Each entry of each file has one page, linked from the index and
+        # from the page the index gives its category.
+        index = links_in(out / "index.html")
+        category_file = {text: href for href, text in index if href.startswith("categories/")}
+        assert sorted(category_file.values()) == categories
+        shown = []
+        for measure_id, filename in measure_pages(out, measures):
+            page = (out / filename).read_text("utf-8")
+            source = page.partition("Defined in: <code>")[2].partition("</code>")[0]
+            (category,) = [c for mid, src, c in expected if (mid, src) == (measure_id, source)]
+            shown.append((measure_id, source, category))
+            assert (filename, measure_id) in index
+            assert ("../" + filename, measure_id) in links_in(out / category_file[category])
+        assert sorted(shown) == sorted(expected)
 
 
 def test_dictionary_rerender_byte_identical(tmp_path):

@@ -127,6 +127,20 @@ def test_json_syntax_map_covers_plain_json_and_geojson(tmp_path):
     assert "not_json.txt" not in snapshot.json_syntax
 
 
+def test_json_syntax_verdict_does_not_depend_on_the_file_name(tmp_path):
+    # Both are read as bytes: a CRLF counts two bytes toward the offset, and
+    # a non-UTF-8 file gets the same message.
+    for content in (b'{"a": 1,\r\n "b": }', b'{"a": "\xff"}'):
+        (tmp_path / "measure_info.json").write_bytes(content)
+        (tmp_path / "x.json").write_bytes(content)
+        syntax = scan_repo(tmp_path, CONFIG).json_syntax
+        assert syntax["x.json"] is not None
+        assert syntax["measure_info.json"] == f"measure_info.json: {syntax['x.json']}"
+    (tmp_path / "x.json").write_bytes(b'{"a": 1,\r\n "b": }')
+    syntax = scan_repo(tmp_path, CONFIG).json_syntax
+    assert syntax["x.json"] == "Expecting value (line 2, offset 16)"
+
+
 def test_parse_data_table_basic(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, [("01", "2021", "m", "1.5", "percent", "county")])
