@@ -166,11 +166,12 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_dict(args: argparse.Namespace) -> int:
     config = load_config(args.config, repo_root=args.repo)
     snapshot = scan_repo(args.repo, config)
+    written = render_dictionary(snapshot, args.out)
+    # Warned of only once written: a write that fails exits 2 with one line.
     for info in snapshot.measure_info_files:
         if isinstance(info, ParseFailure):
             reason = info.message.removeprefix(f"{info.path}: ")
             print(f"warning: {info.path} left out of the dictionary: {reason}", file=sys.stderr)
-    written = render_dictionary(snapshot, args.out)
     measures = sum(name.startswith("measures/") for name in written)
     categories = sum(name.startswith("categories/") for name in written)
     print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -335,21 +336,62 @@ def reports_for(snapshot, config, *cids: str) -> tuple:
     return tuple(report_for(suite, cid) for cid in cids)
 
 
-def count_parses(monkeypatch) -> tuple[Counter, Counter]:
-    """Per-path call counts of ``scanner.parse_data_table`` and ``scanner.parse_measure_info``."""
+def count_parses(monkeypatch, log: Path):
+    """Count the calls to ``scanner.parse_data_table`` and ``scanner.parse_measure_info``.
 
-    def count(name: str, path_of) -> Counter:
-        calls: Counter = Counter()
+    Returns a function that reads the per-path call counts so far, as a
+    (tables, infos) pair of Counters. Each call appends one line to ``log``
+    with a single ``O_APPEND`` write, so the calls a forked child makes
+    while it parses its share of the tables are counted too.
+    """
+
+    def count(name: str, kind: str, path_of) -> None:
         original = getattr(scanner, name)
 
         def counted(*args, **kwargs):
-            calls[path_of(args, kwargs)] += 1
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{kind}\t{path_of(args, kwargs)}\n".encode("utf-8"))
+            finally:
+                os.close(fd)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scanner, name, counted)
-        return calls
 
-    return (
-        count("parse_data_table", lambda args, kwargs: args[1]),
-        count("parse_measure_info", lambda args, kwargs: kwargs["path"]),
-    )
+    count("parse_data_table", "table", lambda args, kwargs: args[1])
+    count("parse_measure_info", "info", lambda args, kwargs: kwargs["path"])
+
+    def read() -> tuple[Counter, Counter]:
+        calls = {"table": Counter(), "info": Counter()}
+        if log.exists():
+            for line in log.read_text(encoding="utf-8").splitlines():
+                kind, path = line.split("\t", 1)
+                calls[kind][path] += 1
+        return calls["table"], calls["info"]
+
+    return read
+
+
+def split_tables(monkeypatch, cpus: int | None) -> list[int]:
+    """Make ``RepoSnapshot.data_tables`` split its tables across ``cpus`` processes.
+
+    The split then runs whatever the tables' size and the host's CPU count;
+    with ``cpus=None`` the tables are parsed in-process. Returns the list of
+    the pids this process forks from now on.
+    """
+    if cpus is None:
+        monkeypatch.setattr(scanner, "_usable_cpus", lambda: 1)
+    else:
+        monkeypatch.setattr(scanner, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(scanner, "_SPLIT_MIN_BYTES", 0)
+    forked: list[int] = []
+    fork = os.fork
+
+    def counted_fork() -> int:
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked

@@ -10,7 +10,7 @@ import pytest
 
 from commonslint.cli import main
 from commonslint.metadata import MAX_JSON_DEPTH, load_measure_info
-from repo_fixtures import clean_entry, count_parses, write_info
+from repo_fixtures import clean_entry, count_parses, split_tables, write_info
 
 CHECKLIST = {
     "F1": "WorkingTowards", "F2": "WorkingTowards", "F3": "Achieving",
@@ -185,27 +185,33 @@ def test_unquoted_off_tier_reads_as_off(tmp_path, capsys):
 
 
 @pytest.fixture
-def parses(monkeypatch):
-    return count_parses(monkeypatch)
+def parses(monkeypatch, tmp_path):
+    return count_parses(monkeypatch, tmp_path / "parses.log")
 
 
 def _each_once(root, pattern: str) -> Counter:
     return Counter(p.relative_to(root).as_posix() for p in root.rglob(pattern))
 
 
-def test_full_check_parses_each_file_once(planted_repo, tmp_path, parses, capsys):
+def test_full_check_parses_each_file_once(planted_repo, tmp_path, monkeypatch, capsys):
     root, _ = planted_repo
-    tables, infos = parses
-    main(["check", "--repo", str(root), "--out", str(tmp_path / "r")])
-    assert tables == _each_once(root, "*.csv")
-    assert infos == _each_once(root, "measure_info.json")
-    assert len(tables) == 6 and len(infos) == 6
+    # In-process, and split across two and three processes.
+    for cpus in (None, 2, 3):
+        with monkeypatch.context() as patch:
+            parses = count_parses(patch, tmp_path / f"parses-{cpus}.log")
+            forked = split_tables(patch, cpus)
+            main(["check", "--repo", str(root), "--out", str(tmp_path / f"r-{cpus}")])
+            assert len(forked) == (cpus or 1) - 1
+        tables, infos = parses()
+        assert tables == _each_once(root, "*.csv")
+        assert infos == _each_once(root, "measure_info.json")
+        assert len(tables) == 6 and len(infos) == 6
 
 
 def test_dict_reads_metadata_only(planted_repo, tmp_path, parses, capsys):
     root, _ = planted_repo
-    tables, infos = parses
     assert main(["dict", "--repo", str(root), "--out", str(tmp_path / "d")]) == 0
+    tables, infos = parses()
     assert tables == Counter()
     assert infos == _each_once(root, "measure_info.json")
 
@@ -217,7 +223,7 @@ def test_dict_reads_metadata_only(planted_repo, tmp_path, parses, capsys):
 def test_scan_and_file_name_check_parse_nothing(planted_repo, parses, capsys, argv):
     root, _ = planted_repo
     main([*argv, "--repo", str(root)])
-    assert parses == (Counter(), Counter())
+    assert parses() == (Counter(), Counter())
 
 
 # ---------------------------------------------------------------- scan

@@ -166,6 +166,8 @@ def _run(argv: list[str]) -> tuple[int, str, list]:
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cases())
 @example(case=({"measure_info.json": _ODD_SOURCES}, set(), None, None, ["dict"], "out"))
+# A measure_info file left out, and an --out that is a file: one error line.
+@example(case=({"measure_info.json": b"{bad", "t.csv": b"x"}, set(), None, None, ["dict"], "repo/t.csv"))
 def test_main_keeps_the_ci_contract(case):
     files, links, config, config_flag, argv, out = case
     with tempfile.TemporaryDirectory() as tmp:
