@@ -47,7 +47,7 @@ from .metadata import (
 )
 from .reports import render_dictionary, render_fair, render_suite
 from .scanner import ClassifiedFile, DataTable, RepoSnapshot, scan_repo
-from .schema import CORE_ELEMENTS, validate_entry_keys
+from .schema import CORE_ELEMENTS
 
 __version__ = "1.0.0"
 
@@ -94,5 +94,4 @@ __all__ = [
     "scan_repo",
     "score_assessment",
     "serialize_measure_info",
-    "validate_entry_keys",
 ]

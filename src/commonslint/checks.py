@@ -32,7 +32,7 @@ from .errors import ConfigError, DomainError, ExpansionError
 from .expansion import expand_dynamic
 from .metadata import MeasureInfoFile
 from .scanner import ClassifiedFile, DataTable, ParseFailure, RepoSnapshot
-from .schema import REFERENCES_KEY, validate_entry_keys
+from .schema import REFERENCES_KEY, is_blank
 
 VERDICTS = ("valid", "invalid", "missing", "extra", "error", "skipped")
 _DETAIL_REQUIRED = {"invalid", "missing", "extra", "error"}
@@ -249,8 +249,9 @@ def _percent_items(table: DataTable, run: _Run) -> list[CheckItem]:
 
 def _allowed_key_items(info: MeasureInfoFile, run: _Run):
     """T3: entries and the reserved references block use only allowable keys."""
+    allowed = run.config.allowed_keys
     for measure_id, entry in info.entries.items():
-        disallowed = sorted(validate_entry_keys(entry, run.config).disallowed)
+        disallowed = sorted(entry.data.keys() - allowed)
         problems = []
         if disallowed:
             problems.append(f"keys outside the allowable list: {', '.join(disallowed)}")
@@ -264,14 +265,15 @@ def _allowed_key_items(info: MeasureInfoFile, run: _Run):
 
 
 def _expected_key_items(info: MeasureInfoFile, run: _Run):
-    """T7: expected keys are present and filled."""
+    """T7: expected keys are present and filled; absent and blank are reported apart."""
+    expected = run.config.expected_keys
     for measure_id, entry in info.entries.items():
-        report = validate_entry_keys(entry, run.config)
-        problems = []
-        if report.absent:
-            problems.append(f"absent: {', '.join(report.absent)}")
-        if report.blank:
-            problems.append(f"blank: {', '.join(report.blank)}")
+        data = entry.data
+        absent = sorted(expected.difference(data))
+        blank = sorted(k for k in expected.intersection(data) if is_blank(data[k]))
+        problems = [
+            f"{kind}: {', '.join(keys)}" for kind, keys in (("absent", absent), ("blank", blank)) if keys
+        ]
         yield _problem_item(info.path, problems, key=measure_id)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .metadata import MAX_JSON_DEPTH
 from .schema import CORE_ELEMENTS, DYNAMIC_AXES, VOCABULARY_ELEMENTS
 
 CONFIG_FILENAMES = (".commonslint.yml", "commonslint.yml")
@@ -242,6 +243,22 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     return RepoConfig(**kwargs)
 
 
+class _DepthCappedLoader(yaml.SafeLoader):
+    """The pure-Python safe loader (its errors carry line and column), refusing
+    more than MAX_JSON_DEPTH open collections whatever the recursion limit."""
+
+    depth = 0
+
+    def compose_node(self, parent, index):
+        opens = self.check_event(yaml.CollectionStartEvent)
+        self.depth += opens
+        if self.depth > MAX_JSON_DEPTH:
+            raise yaml.YAMLError("nested too deeply")
+        node = super().compose_node(parent, index)
+        self.depth -= opens
+        return node
+
+
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """PyYAML's complaint on one line: what it found wrong, and where."""
     mark = getattr(exc, "problem_mark", None)
@@ -271,7 +288,7 @@ def load_config(config_path: str | Path | None = None, repo_root: str | Path | N
     if path is None:
         return default_config()
     try:
-        raw = yaml.safe_load(path.read_text("utf-8"))
+        raw = yaml.load(path.read_text("utf-8"), Loader=_DepthCappedLoader)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:

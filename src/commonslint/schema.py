@@ -1,17 +1,14 @@
-"""Core metadata schema: element names, limits and key checks.
+"""Core metadata schema: element names, what counts as blank, and limits.
 
-The allowed and expected key sets and the vocabularies are repository
-config (``RepoConfig``); the vocabulary defaults ship with the package in
-``data/vocabularies.yaml``. The character limits are fixed.
+The allowed and expected key sets (read by T3 and T7 in ``checks``) and the
+vocabularies are repository config (``RepoConfig``); the vocabulary
+defaults ship with the package in ``data/vocabularies.yaml``. The character
+limits are fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .config import RepoConfig
 
 # The sixteen named core elements. The measure id (the JSON key naming the
 # entry) is the seventeenth element and is carried separately.
@@ -57,33 +54,10 @@ def is_blank(value: object) -> bool:
 
 
 @dataclass(frozen=True)
-class KeyReport:
-    """One entry's keys that break the schema: T3 reads ``disallowed``, T7 the rest."""
-
-    disallowed: tuple[str, ...]
-    absent: tuple[str, ...]
-    blank: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class LimitViolation:
     field: str
     length: int
     limit: int
-
-
-def validate_entry_keys(entry, config: RepoConfig) -> KeyReport:
-    """An entry's disallowed keys, and its expected keys that are absent or blank.
-
-    Total: never raises, whatever the key set. Absence (key missing) and
-    blankness (key present with an empty value) are reported separately.
-    """
-    allowed, expected, data = config.allowed_keys, config.expected_keys, entry.data
-    return KeyReport(
-        disallowed=tuple(k for k in data if k not in allowed),
-        absent=tuple(sorted(expected.difference(data))),
-        blank=tuple(sorted(k for k in expected.intersection(data) if is_blank(data[k]))),
-    )
 
 
 def check_char_limits(entry) -> list[LimitViolation]:

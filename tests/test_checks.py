@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint.checks import (
     CHECK_NAMES,
@@ -22,6 +22,7 @@ from commonslint.config import default_config, parse_config
 from commonslint.errors import ConfigError, DomainError, ExpansionError
 from commonslint.expansion import expand_file
 from commonslint.scanner import parse_data_table, scan_repo
+from commonslint.schema import CORE_ELEMENTS
 from repo_fixtures import (
     ABSENT,
     LONG_NAME_101,
@@ -303,6 +304,93 @@ def test_t3_flags_disallowed_key_t7_flags_absent_and_blank(tmp_path):
     t7_bad = {i.key: i for i in t7.items if i.verdict != "valid"}
     assert set(t7_bad) == {"sparse"}
     assert "blank" in t7_bad["sparse"].detail
+
+
+# Entry keys come from the core elements plus names outside them, the empty
+# name among them. Each value is drawn with whether T7 must count it blank.
+_KEY_NAMES = (*CORE_ELEMENTS, "", "colour_scheme", "notes", "region_type")
+_TAGGED_VALUES = st.sampled_from(
+    [(value, True) for value in (None, "", [], {})]
+    + [(value, False) for value in (0, False, " ", "x", [0], {"a": 1})]
+)
+# None keeps the default key set.
+_KEY_SETS = st.none() | st.lists(st.sampled_from(_KEY_NAMES), unique=True)
+
+
+def _filled(data: dict) -> dict:
+    return {key: (value, False) for key, value in data.items()}
+
+
+def _key_oracle(path, measure_id, entry, allowed, expected):
+    """T3's and T7's items for one tagged entry, by asking every name in turn."""
+    names = sorted(_KEY_NAMES)
+    disallowed = [k for k in names if k in entry and k not in allowed]
+    absent = [k for k in names if k in expected and k not in entry]
+    blank = [k for k in names if k in expected and k in entry and entry[k][1]]
+    t3 = [f"keys outside the allowable list: {', '.join(disallowed)}"] if disallowed else []
+    t7 = [
+        f"{label}: {', '.join(keys)}"
+        for label, keys in (("absent", absent), ("blank", blank))
+        if keys
+    ]
+    return tuple(
+        CheckItem(path, "invalid", key=measure_id, detail="; ".join(problems))
+        if problems
+        else CheckItem(path, "valid", key=measure_id)
+        for problems in (t3, t7)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.dictionaries(st.sampled_from(_KEY_NAMES), _TAGGED_VALUES, max_size=6), max_size=3
+    ),
+    allowed=_KEY_SETS,
+    expected=_KEY_SETS,
+)
+# A complete entry is valid under the defaults.
+@example(entries=[_filled(clean_entry("m0"))], allowed=None, expected=None)
+# A disallowed key, a blank key and absent keys, each reported apart.
+@example(
+    entries=[
+        {"short_name": ("", True), "colour_scheme": ("viridis", False)},
+        {},
+        {"unit": ("", True)},
+    ],
+    allowed=None,
+    expected=None,
+)
+# The empty name is a key like any other.
+@example(entries=[{"": ("x", False)}, {}], allowed=None, expected=[""])
+# Schema overrides replace the default key sets.
+@example(
+    entries=[_filled({"short_name": "s", "long_name": "l"})],
+    allowed=["short_name"],
+    expected=["unit"],
+)
+def test_t3_t7_match_a_key_set_oracle(entries, allowed, expected):
+    config = parse_config({"schema": {"allowed_keys": allowed, "expected_keys": expected}})
+    allowed_set = set(CORE_ELEMENTS if allowed is None else allowed)
+    expected_set = set(expected) if expected is not None else (
+        set(CORE_ELEMENTS) - {"categories", "variants"}
+    )
+    ids = [f"m{i}" for i in range(len(entries))]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_info(
+            Path(tmp) / "measure_info.json",
+            {
+                mid: {key: value for key, (value, _) in entry.items()}
+                for mid, entry in zip(ids, entries)
+            },
+        )
+        t3, t7 = reports_for(scan_repo(tmp, config), config, "T3", "T7")
+    oracle = [
+        _key_oracle("measure_info.json", mid, entry, allowed_set, expected_set)
+        for mid, entry in zip(ids, entries)
+    ]
+    assert list(t3.items) == [items[0] for items in oracle]
+    assert list(t7.items) == [items[1] for items in oracle]
 
 
 def test_t3_reserved_structures_allowed(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -551,6 +552,22 @@ def test_deeply_nested_input_exits_2_with_one_line(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error: ") and err.endswith("nested too deeply\n")
     assert err.count("\n") == 1
+
+
+def test_config_depth_cap_does_not_depend_on_the_recursion_limit(tmp_path, capsys):
+    config = tmp_path / "config.yml"
+    config.write_text("ignore_dirs: " + "[" * 500 + "]" * 500, encoding="utf-8")
+    argv = ["check", "--repo", str(tmp_path), "--config", str(config), "--no-reports"]
+    default = sys.getrecursionlimit()
+    errors = []
+    for limit in (default, 3000):
+        sys.setrecursionlimit(limit)
+        try:
+            assert main(argv) == 2
+        finally:
+            sys.setrecursionlimit(default)
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: invalid YAML in {config}: nested too deeply\n"] * 2
 
 
 def test_check_reports_a_too_deep_dynamic_entry_under_t14(tmp_path, capsys):

@@ -11,7 +11,8 @@ import yaml
 import commonslint
 from commonslint.config import parse_config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PACKAGE = Path(commonslint.__file__).parent
 
 
@@ -41,3 +42,9 @@ def test_every_exported_name_has_a_caller():
 def test_readme_config_example_parses():
     (block,) = re.findall(r"```yaml\n(.*?)```", README.read_text("utf-8"), re.DOTALL)
     parse_config(yaml.safe_load(block))
+
+
+def test_pyproject_version_is_the_package_version():
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    (version,) = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert version == commonslint.__version__

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import tempfile
 from html import unescape
@@ -39,6 +40,7 @@ from commonslint.reports import (
     render_dictionary,
     render_fair,
     render_suite,
+    write_atomic,
 )
 from commonslint.scanner import scan_repo
 from repo_fixtures import clean_entry, oracle_payload, write_info, write_table
@@ -223,6 +225,18 @@ def _suites(draw) -> SuiteReport:
 @example(suite=SuiteReport(root="r", reports=(CheckReport(check=CHECKS[0]),), enforcement={"T2": "warn"}))
 def test_suite_json_writer_matches_json_dumps(suite):
     assert reports._suite_json(suite) == _oracle_text(suite)
+
+
+def test_write_atomic_removes_its_temp_file_when_the_move_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "out" / "page.html"
+    with pytest.raises(OSError, match="cross-device"):
+        write_atomic(target, "<p>page</p>")
+    assert not target.exists()
+    assert list(target.parent.iterdir()) == []
 
 
 # ---------------------------------------------------------------- dictionary

@@ -9,9 +9,7 @@ from commonslint.schema import (
     VOCABULARY_ELEMENTS,
     check_char_limits,
     is_blank,
-    validate_entry_keys,
 )
-from repo_fixtures import clean_entry
 
 
 def entry(measure_id="m", **data) -> MeasureEntry:
@@ -36,27 +34,6 @@ def test_expected_keys_exclude_dynamic_axes_by_default():
     assert "categories" not in config.expected_keys
     assert "variants" not in config.expected_keys
     assert "categories" in config.allowed_keys
-
-
-def test_validate_entry_keys_partitions_totally():
-    config = default_config()
-    complete = MeasureEntry(measure_id="m", data=clean_entry("m"))
-    report = validate_entry_keys(complete, config)
-    assert report.disallowed == report.absent == report.blank == ()
-
-    odd = entry(short_name="", colour_scheme="viridis")
-    report = validate_entry_keys(odd, config)
-    assert report.disallowed == ("colour_scheme",)
-    assert "short_name" in report.blank
-    assert "unit" in report.absent
-
-
-def test_absent_and_blank_are_distinct():
-    config = default_config()
-    absent = validate_entry_keys(entry(), config)
-    assert "unit" in absent.absent and "unit" not in absent.blank
-    blank = validate_entry_keys(entry(unit=""), config)
-    assert "unit" in blank.blank and "unit" not in blank.absent
 
 
 @pytest.mark.parametrize("value", [None, "", [], {}])
@@ -91,5 +68,3 @@ def test_parse_config_overrides_key_sets():
     assert config.expected_keys == frozenset({"unit"})
     # Unmentioned defaults retained.
     assert config.vocabularies == default_config().vocabularies
-    report = validate_entry_keys(entry(short_name="s", long_name="l"), config)
-    assert (report.disallowed, report.absent) == (("long_name",), ("unit",))
