@@ -4,12 +4,14 @@ import pytest
 
 from commonslint.config import RepoConfig, default_config, parse_config
 from commonslint.metadata import MeasureEntry
+from commonslint.scanner import scan_repo
 from commonslint.schema import (
     CORE_ELEMENTS,
     VOCABULARY_ELEMENTS,
     check_char_limits,
     is_blank,
 )
+from repo_fixtures import clean_entry, reports_for, write_info
 
 
 def entry(measure_id="m", **data) -> MeasureEntry:
@@ -34,6 +36,38 @@ def test_expected_keys_exclude_dynamic_axes_by_default():
     assert "categories" not in config.expected_keys
     assert "variants" not in config.expected_keys
     assert "categories" in config.allowed_keys
+
+
+def key_partition(tmp_path, data: dict, config=None) -> dict[str, tuple[str, ...]]:
+    """The disallowed (T3), absent and blank (T7) keys of one entry named ``m``."""
+    config = config or default_config()
+    write_info(tmp_path / "measure_info.json", {"m": data})
+    t3, t7 = reports_for(scan_repo(tmp_path, config), config, "T3", "T7")
+    partition = {"disallowed": (), "absent": (), "blank": ()}
+    for item in (*t3.items, *t7.items):
+        assert item.key == "m"
+        for problem in filter(None, (item.detail or "").split("; ")):
+            label, keys = problem.split(": ", 1)
+            label = "disallowed" if label == "keys outside the allowable list" else label
+            partition[label] = tuple(keys.split(", "))
+    return partition
+
+
+def test_validate_entry_keys_partitions_totally(tmp_path):
+    complete = key_partition(tmp_path, clean_entry("m"))
+    assert complete == {"disallowed": (), "absent": (), "blank": ()}
+
+    odd = key_partition(tmp_path, {"short_name": "", "colour_scheme": "viridis"})
+    assert odd["disallowed"] == ("colour_scheme",)
+    assert "short_name" in odd["blank"]
+    assert "unit" in odd["absent"]
+
+
+def test_absent_and_blank_are_distinct(tmp_path):
+    absent = key_partition(tmp_path, {})
+    assert "unit" in absent["absent"] and "unit" not in absent["blank"]
+    blank = key_partition(tmp_path, {"unit": ""})
+    assert "unit" in blank["blank"] and "unit" not in blank["absent"]
 
 
 @pytest.mark.parametrize("value", [None, "", [], {}])
