@@ -13,13 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from importlib import resources
+from functools import cache
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
-from .metadata import MAX_JSON_DEPTH
+from .metadata import MAX_JSON_DEPTH, packaged_json
 from .schema import CORE_ELEMENTS, DYNAMIC_AXES, VOCABULARY_ELEMENTS
 
 CONFIG_FILENAMES = (".commonslint.yml", "commonslint.yml")
@@ -59,8 +57,8 @@ DEFAULT_CHECK_TIERS = {"T10": "warn"}
 
 
 def _packaged_vocabularies() -> dict[str, frozenset[str]]:
-    text = resources.files("commonslint").joinpath("data/vocabularies.yaml").read_text("utf-8")
-    return {element: frozenset(terms) for element, terms in yaml.safe_load(text).items()}
+    """A new mapping of the packaged term sets, so no two configs share one."""
+    return {e: frozenset(terms) for e, terms in packaged_json("vocabularies.json").items()}
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,6 @@ def _as_str_tuple(value, key: str) -> tuple[str, ...]:
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return tuple(value)
     raise ConfigError(f"{key} must be a string or list of strings")
-
-
-def _as_mapping(value, key: str) -> dict:
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        return value
-    raise ConfigError(f"{key} must be a mapping with string keys")
 
 
 def _known_keys(raw: dict, known: tuple[str, ...], path: str = "") -> None:
@@ -233,7 +225,9 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
         if schema.get(key) is not None:
             kwargs[key] = frozenset(_as_str_tuple(schema[key], f"schema.{key}"))
     if schema.get("vocabularies") is not None:
-        overrides = _as_mapping(schema["vocabularies"], "schema.vocabularies")
+        overrides = schema["vocabularies"]
+        if not isinstance(overrides, dict) or not all(isinstance(k, str) for k in overrides):
+            raise ConfigError("schema.vocabularies must be a mapping with string keys")
         _known_keys(overrides, VOCABULARY_ELEMENTS, "schema.vocabularies.")
         # An override replaces the term set of its element only.
         kwargs["vocabularies"] = _packaged_vocabularies() | {
@@ -243,23 +237,29 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
     return RepoConfig(**kwargs)
 
 
-class _DepthCappedLoader(yaml.SafeLoader):
+@cache
+def _depth_capped_loader():
     """The pure-Python safe loader (its errors carry line and column), refusing
-    more than MAX_JSON_DEPTH open collections whatever the recursion limit."""
+    more than MAX_JSON_DEPTH open collections whatever the recursion limit.
+    Built on first use, so a run without a config file never imports yaml."""
+    import yaml
 
-    depth = 0
+    class _DepthCappedLoader(yaml.SafeLoader):
+        depth = 0
 
-    def compose_node(self, parent, index):
-        opens = self.check_event(yaml.CollectionStartEvent)
-        self.depth += opens
-        if self.depth > MAX_JSON_DEPTH:
-            raise yaml.YAMLError("nested too deeply")
-        node = super().compose_node(parent, index)
-        self.depth -= opens
-        return node
+        def compose_node(self, parent, index):
+            opens = self.check_event(yaml.CollectionStartEvent)
+            self.depth += opens
+            if self.depth > MAX_JSON_DEPTH:
+                raise yaml.YAMLError("nested too deeply")
+            node = super().compose_node(parent, index)
+            self.depth -= opens
+            return node
+
+    return _DepthCappedLoader
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+def _yaml_problem(exc) -> str:
     """PyYAML's complaint on one line: what it found wrong, and where."""
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
@@ -287,8 +287,10 @@ def load_config(config_path: str | Path | None = None, repo_root: str | Path | N
                 break
     if path is None:
         return default_config()
+    import yaml
+
     try:
-        raw = yaml.load(path.read_text("utf-8"), Loader=_DepthCappedLoader)
+        raw = yaml.load(path.read_text("utf-8"), Loader=_depth_capped_loader())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:

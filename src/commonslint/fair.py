@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, UnknownIndicatorError, UnknownPrincipleError
-from .metadata import decode_utf8, parse_json, reject_duplicate_keys
+from .metadata import decode_utf8, packaged_json, parse_json, reject_duplicate_keys
 
 PRIORITIES = ("Essential", "Important", "Useful")
 LEVELS = (0, 1, 2, 3, 4)
@@ -86,16 +85,8 @@ class FairReport:
 
 def load_indicator_registry() -> dict[str, Indicator]:
     """The shipped maturity-model registry, indicator id -> Indicator."""
-    raw = resources.files("commonslint.data").joinpath("fair_indicators.json").read_text("utf-8")
-    return {
-        row["id"]: Indicator(
-            indicator_id=row["id"],
-            principle=row["principle"],
-            text=row["text"],
-            priority=row["priority"],
-        )
-        for row in parse_json(raw)["indicators"]
-    }
+    rows = packaged_json("fair_indicators.json")["indicators"]
+    return {r["id"]: Indicator(r["id"], r["principle"], r["text"], r["priority"]) for r in rows}
 
 
 def score_assessment(assessment: FairAssessment) -> FairReport:
@@ -170,13 +161,18 @@ def _read_text(rel: str) -> str:
     return decode_utf8(Path(rel).read_bytes(), rel)
 
 
+def _malformed(rel: str, message: str) -> ParseError:
+    """The error for an input file that is not shaped as its format says."""
+    return ParseError(message, path=rel, stage="structure")
+
+
 def _read_json_object(rel: str, not_an_object: str) -> dict:
     """The JSON object in a UTF-8 file. Any other value is a ParseError
     saying ``not_an_object``; a key repeated in any object is a
     DuplicateKeyError."""
     payload = parse_json(_read_text(rel), rel, object_pairs_hook=reject_duplicate_keys)
     if not isinstance(payload, dict):
-        raise ParseError(not_an_object, path=rel, stage="structure")
+        raise _malformed(rel, not_an_object)
     return payload
 
 
@@ -185,7 +181,7 @@ def _optional_text(payload: dict, key: str, rel: str) -> str:
     if value is None:
         return ""
     if not isinstance(value, str):
-        raise ParseError(f"{key} must be a string or null", path=rel, stage="structure")
+        raise _malformed(rel, f"{key} must be a string or null")
     return value
 
 
@@ -213,26 +209,16 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
         reader = csv.DictReader(_read_text(rel).removeprefix("\ufeff").splitlines())
         fields = reader.fieldnames or []
         if "indicator_id" not in fields or "level" not in fields:
-            raise ParseError(
-                "assessment table needs indicator_id and level columns",
-                path=rel,
-                stage="structure",
-            )
+            raise _malformed(rel, "assessment table needs indicator_id and level columns")
         levels = {}
         for row in reader:
             indicator_id = row["indicator_id"]
             if indicator_id in levels:
-                raise ParseError(
-                    f"duplicate indicator {indicator_id!r}", path=rel, stage="structure"
-                )
+                raise _malformed(rel, f"duplicate indicator {indicator_id!r}")
             try:
                 levels[indicator_id] = int(row["level"])
             except (TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"non-integer level for {indicator_id!r}",
-                    path=rel,
-                    stage="structure",
-                ) from exc
+                raise _malformed(rel, f"non-integer level for {indicator_id!r}") from exc
         return FairAssessment(levels=levels)
 
     payload = _read_json_object(rel, "assessment must be a JSON object")
@@ -240,10 +226,8 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
     if isinstance(payload.get("levels"), dict):
         unknown = [key for key in payload if key not in ("levels", "assessor", "date")]
         if unknown:
-            raise ParseError(
-                f"unknown assessment key {unknown[0]!r}; expected levels, assessor, date",
-                path=rel,
-                stage="structure",
+            raise _malformed(
+                rel, f"unknown assessment key {unknown[0]!r}; expected levels, assessor, date"
             )
         body = payload["levels"]
         assessor = _optional_text(payload, "assessor", rel)
@@ -251,8 +235,6 @@ def read_assessment_file(path: str | Path) -> FairAssessment:
     levels = {}
     for key, value in body.items():
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(
-                f"level for {key!r} must be an integer 0-4", path=rel, stage="structure"
-            )
+            raise _malformed(rel, f"level for {key!r} must be an integer 0-4")
         levels[key] = value
     return FairAssessment(levels=levels, assessor=assessor, date=date)

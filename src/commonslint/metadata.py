@@ -6,8 +6,9 @@ bibliography. Entries and the references block keep their parsed JSON
 verbatim, so unknown keys, nulls and legacy shapes survive a
 parse/serialize round trip untouched; readers normalize what they show.
 
-``parse_json`` is the package's one JSON reader, so malformed or too deeply
-nested JSON input is a ParseError in every command.
+``parse_json`` is the package's one JSON reader, the packaged data files
+included, so malformed or too deeply nested JSON input is a ParseError in
+every command.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
+from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import DuplicateKeyError, ParseError
@@ -108,6 +111,13 @@ def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> An
         raise
 
 
+@cache
+def packaged_json(name: str) -> Any:
+    """The packaged ``data/<name>``, parsed once; every caller shares it, so none may change it."""
+    path = Path(__file__).with_name("data") / name
+    return parse_json(path.read_text("utf-8"), str(path))
+
+
 def decode_utf8(raw: bytes, path: str | None = None) -> str:
     """``raw`` decoded as UTF-8; ParseError (stage "json") when it is not UTF-8."""
     try:
@@ -159,8 +169,6 @@ def parse_measure_info(raw: bytes | str, path: str = "measure_info.json") -> Mea
 
 def load_measure_info(file_path) -> MeasureInfoFile:
     """Read and parse a measure_info file from disk."""
-    from pathlib import Path
-
     p = Path(file_path)
     return parse_measure_info(p.read_bytes(), path=str(p))
 

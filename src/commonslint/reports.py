@@ -327,19 +327,26 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
     """
     out = Path(outdir)
 
-    # Expand every parsed measure_info once; expansion failures keep the raw
-    # entry, marked on its page. Citations resolve against the reference
+    # Expand every parsed measure_info once; an entry that fails to expand,
+    # or whose ids collide with an earlier entry's of the same file, keeps its
+    # raw form, marked on its page. Citations resolve against the reference
     # ids of the file that defines the entry.
     rendered: list[tuple[MeasureEntry, str, str | None, frozenset[str]]] = []
     for info in snapshot.parsed_measure_infos:
         references = info.reference_ids()
+        seen: set[str] = set()
         for entry in info:
             try:
-                concrete = expand_dynamic(entry)
-                note = None
+                concrete, problem = expand_dynamic(entry), None
             except ExpansionError as exc:
+                concrete, problem = [entry], str(exc)
+            ids = [expanded.measure_id for expanded in concrete]
+            clash = next((mid for mid in ids if mid in seen), None)
+            seen.update(ids)
+            if problem is None and clash is not None:
                 concrete = [entry]
-                note = f"dynamic entry could not be expanded: {exc}"
+                problem = f"expanded id {clash!r} collides with an existing entry"
+            note = None if problem is None else f"dynamic entry could not be expanded: {problem}"
             for expanded in concrete:
                 rendered.append((expanded, info.path, note, references))
 

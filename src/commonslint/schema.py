@@ -2,7 +2,7 @@
 
 The allowed and expected key sets (read by T3 and T7 in ``checks``) and the
 vocabularies are repository config (``RepoConfig``); the vocabulary
-defaults ship with the package in ``data/vocabularies.yaml``. The character
+defaults ship with the package in ``data/vocabularies.json``. The character
 limits are fixed.
 """
 

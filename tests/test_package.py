@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import os
 import re
+import subprocess
+import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import yaml
@@ -48,3 +53,53 @@ def test_pyproject_version_is_the_package_version():
     text = (ROOT / "pyproject.toml").read_text("utf-8")
     (version,) = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
     assert version == commonslint.__version__
+
+
+def test_pyproject_ships_every_data_file():
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    (listing,) = re.findall(
+        r"^\[tool\.setuptools\.package-data\]\ncommonslint = \[(.*)\]$", text, re.MULTILINE
+    )
+    patterns = re.findall(r'"([^"]*)"', listing)
+    shipped = [path.relative_to(PACKAGE).as_posix() for path in (PACKAGE / "data").iterdir()]
+    assert sorted(shipped) == ["data/fair_indicators.json", "data/vocabularies.json"]
+    assert [f for f in shipped if not any(fnmatch(f, pattern) for pattern in patterns)] == []
+
+
+def test_every_traced_binding_resolves():
+    """The benchmark tracer wraps these module attributes by name, so a refactor
+    that moves one breaks the traced benchmark; it fails here as well."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    unresolved = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"commonslint.{module}"), attr, None))
+    ]
+    assert unresolved == []
+
+
+_RUN_WITHOUT_CONFIG = """\
+import sys
+from commonslint.cli import main
+
+repo, out = sys.argv[1:]
+codes = [
+    main(["check", "--repo", repo, "--out", f"{out}/reports"]),
+    main(["dict", "--repo", repo, "--out", f"{out}/dictionary"]),
+    main(["scan", "--repo", repo]),
+]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "yaml"))
+"""
+
+
+def test_commands_without_a_config_file_never_import_yaml(clean_repo, tmp_path):
+    assert not any(clean_repo.glob("*commonslint.yml"))
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_CONFIG, str(clean_repo), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -413,6 +413,33 @@ def test_dictionary_unexpandable_entry_noted(tmp_path):
     assert "could not be expanded" in html
 
 
+def test_dictionary_notes_an_entry_whose_expanded_id_collides(tmp_path):
+    """The entry that `expand` rejects and T14 fails is marked on its page, and only it."""
+    # In this file order: write_info would sort the keys.
+    (tmp_path / "measure_info.json").write_text(
+        json.dumps({"bb_{category}": {"categories": ["a", "b"]}, "bb_a": {}}), "utf-8"
+    )
+    out = tmp_path / "dict"
+    written = render_dictionary(scan_repo(tmp_path, CONFIG), out)
+    notes = {
+        filename: [
+            unescape(note)
+            for note in re.findall(
+                r'<p class="unresolved-reference">(.*?)</p>', (out / filename).read_text("utf-8")
+            )
+        ]
+        for _, filename in measure_pages(out, written)
+    }
+    assert notes == {
+        "measures/bb_a.html": [],
+        "measures/bb_b.html": [],
+        "measures/bb_a-2.html": [
+            "dynamic entry could not be expanded:"
+            " expanded id 'bb_a' collides with an existing entry"
+        ],
+    }
+
+
 def test_dictionary_duplicate_ids_get_serial_filenames(tmp_path):
     write_info(tmp_path / "a" / "measure_info.json", {"m": clean_entry("m")})
     write_info(tmp_path / "b" / "measure_info.json", {"m": clean_entry("m")})

@@ -27,8 +27,19 @@ def test_default_config_loads_packaged_vocabularies():
     vocabularies = default_config().vocabularies
     # Only the elements a check reads have a vocabulary.
     assert set(vocabularies) == set(VOCABULARY_ELEMENTS)
-    assert "percent" in vocabularies["measure_type"]
-    assert "county" in vocabularies["region_type"]
+    # The shipped terms, pinned: a change to data/vocabularies.json changes T4 and T9.
+    assert vocabularies == {
+        "measure_type": frozenset({"percent", "count", "decimal"}),
+        "region_type": frozenset({"county", "tract", "block group"}),
+    }
+
+
+def test_default_configs_do_not_share_their_vocabularies():
+    one, two = default_config(), RepoConfig()
+    assert one.vocabularies == two.vocabularies
+    one.vocabularies["measure_type"] = frozenset({"other"})
+    assert two.vocabularies["measure_type"] == frozenset({"percent", "count", "decimal"})
+    assert default_config().vocabularies == two.vocabularies
 
 
 def test_expected_keys_exclude_dynamic_axes_by_default():
