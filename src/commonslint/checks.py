@@ -528,8 +528,11 @@ def run_suite(
 
     ``dev`` downgrades every enforced check to a warning, for development
     repositories that want reports without gating; ``strict`` upgrades
-    warnings to enforced. Checks configured ``off`` stay off either way.
+    warnings to enforced. The two are exclusive. Checks configured ``off``
+    stay off either way.
     """
+    if dev and strict:
+        raise ConfigError("dev and strict are exclusive")
     config = config or default_config()
     if selected is not None:
         unknown = sorted(set(selected) - set(CHECK_NAMES))

@@ -1,21 +1,23 @@
 """Dynamic metadata expansion: categories x variants into concrete entries.
 
 A dynamic entry's id and string fields carry ``{category}`` and
-``{variant}`` placeholders; expansion substitutes every combination of
-axis tokens, applies per-token overrides, and yields one concrete entry
-per combination, so producers never hand-write the full cross product
-(e.g. five measures for each of nineteen industries).
+``{variant}`` placeholders; expansion yields one concrete entry per
+combination of axis tokens, so producers never hand-write the full cross
+product (e.g. five measures for each of nineteen industries). A token's
+overrides replace their elements before substitution, so an override's own
+text is substituted too; an override may not name an axis. Concrete entries
+carry no axis, and no placeholder may be left in their ids or values.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ExpansionError
 from .metadata import MeasureEntry, MeasureInfoFile
+from .schema import DYNAMIC_AXES
 
 CATEGORY_PLACEHOLDER = "{category}"
 VARIANT_PLACEHOLDER = "{variant}"
@@ -36,34 +38,22 @@ def _echo(value: object) -> str:
     return text if len(text) <= _ECHO_LIMIT else text[: _ECHO_LIMIT - 1] + "…"
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """One token on a dynamic axis, with optional per-element overrides.
+def parse_axis(raw: object, axis: str) -> dict[str, dict]:
+    """Normalize an on-disk axis value into a map of token to overrides.
 
-    Overrides replace the named element's text after placeholder
-    substitution, so a raw token like "NAICS72" can carry a readable
-    display name.
+    Accepts a list of token strings or a map of token to override map (null
+    for none). Tokens must be unique within the axis, and no override may
+    name an axis.
     """
-
-    token: str
-    overrides: Mapping[str, str] = field(default_factory=dict)
-
-
-def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
-    """Normalize an on-disk axis value into AxisSpecs.
-
-    Accepts a list of token strings or a map of token to override map.
-    Tokens must be unique within the axis.
-    """
-    if raw is None or raw == [] or raw == {}:
-        return []
-    specs: list[AxisSpec] = []
+    if raw is None:
+        return {}
     if isinstance(raw, list):
         for item in raw:
             if not isinstance(item, str):
                 raise ExpansionError(f"{axis} list items must be strings, got {_echo(item)}")
-            specs.append(AxisSpec(token=item))
+        pairs = [(item, {}) for item in raw]
     elif isinstance(raw, dict):
+        pairs = []
         for token, overrides in raw.items():
             if overrides is None:
                 overrides = {}
@@ -71,50 +61,43 @@ def parse_axis(raw: object, axis: str) -> list[AxisSpec]:
                 raise ExpansionError(
                     f"{axis}[{_echo(token)}] overrides must be an object, got {_echo(overrides)}"
                 )
-            specs.append(AxisSpec(token=str(token), overrides=dict(overrides)))
+            named = next((name for name in DYNAMIC_AXES if name in overrides), None)
+            if named is not None:
+                raise ExpansionError(f"{axis}[{_echo(token)}] overrides may not set {named!r}")
+            pairs.append((str(token), overrides))
     else:
         raise ExpansionError(f"{axis} must be a list or object, got {type(raw).__name__}")
 
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.token in seen:
-            raise ExpansionError(f"duplicate {axis} token {_echo(spec.token)}")
-        seen.add(spec.token)
-    return specs
+    tokens: dict[str, dict] = {}
+    for token, overrides in pairs:
+        if token in tokens:
+            raise ExpansionError(f"duplicate {axis} token {_echo(token)}")
+        tokens[token] = overrides
+    return tokens
 
 
-def _substitute(value: Any, category: str | None, variant: str | None) -> Any:
+def _substitute(value: Any, category: str | None, variant: str | None, template: str) -> Any:
+    """``value`` with the axis tokens put in, walked depth first.
+
+    Stops at the first string that still holds a placeholder, naming
+    ``{category}`` before ``{variant}``; ``template`` is the id echoed then.
+    """
     if isinstance(value, str):
         if category is not None:
             value = value.replace(CATEGORY_PLACEHOLDER, category)
         if variant is not None:
             value = value.replace(VARIANT_PLACEHOLDER, variant)
-        return value
-    if isinstance(value, list):
-        return [_substitute(v, category, variant) for v in value]
-    if isinstance(value, dict):
-        return {k: _substitute(v, category, variant) for k, v in value.items()}
-    return value
-
-
-def _find_residue(value: Any) -> str | None:
-    if isinstance(value, str):
         for marker in (CATEGORY_PLACEHOLDER, VARIANT_PLACEHOLDER):
             if marker in value:
-                return marker
-        return None
+                raise ExpansionError(
+                    f"unsubstituted placeholder {marker} remains in expansion of {template!r}"
+                )
+        return value
     if isinstance(value, list):
-        for v in value:
-            marker = _find_residue(v)
-            if marker:
-                return marker
-        return None
+        return [_substitute(v, category, variant, template) for v in value]
     if isinstance(value, dict):
-        for v in value.values():
-            marker = _find_residue(v)
-            if marker:
-                return marker
-    return None
+        return {k: _substitute(v, category, variant, template) for k, v in value.items()}
+    return value
 
 
 def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
@@ -129,45 +112,30 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
     if not categories and not variants:
         return [entry]
 
-    for axis_name, specs in (("categories", categories), ("variants", variants)):
-        if specs and _AXIS_PLACEHOLDER[axis_name] not in entry.measure_id:
+    template = entry.measure_id
+    for axis_name, tokens in (("categories", categories), ("variants", variants)):
+        if tokens and _AXIS_PLACEHOLDER[axis_name] not in template:
             raise ExpansionError(
-                f"id template {entry.measure_id!r} lacks {_AXIS_PLACEHOLDER[axis_name]}"
+                f"id template {template!r} lacks {_AXIS_PLACEHOLDER[axis_name]}"
                 f" for its non-empty {axis_name} axis"
             )
 
-    base = {k: v for k, v in entry.data.items() if k not in ("categories", "variants")}
-    cat_axis = categories or [None]
-    var_axis = variants or [None]
-
+    base = {k: v for k, v in entry.data.items() if k not in DYNAMIC_AXES}
     expanded: list[MeasureEntry] = []
     seen_ids: set[str] = set()
-    for cat, var in product(cat_axis, var_axis):
-        cat_token = cat.token if cat else None
-        var_token = var.token if var else None
-        new_id = _substitute(entry.measure_id, cat_token, var_token)
-        # Both walks recurse about twice per level of nesting. A value read
-        # through parse_json is shallow enough for them; one built in code
-        # may not be.
+    for (cat, cat_overrides), (var, var_overrides) in product(
+        categories.items() or [(None, {})], variants.items() or [(None, {})]
+    ):
+        new_id = _substitute(template, cat, var, template)
+        # The walk recurses about twice per level of nesting. A value read
+        # through parse_json is shallow enough for it; one built in code may
+        # not be.
         try:
-            data = {k: _substitute(v, cat_token, var_token) for k, v in base.items()}
-            for spec in (cat, var):
-                if spec is None:
-                    continue
-                for element, text in spec.overrides.items():
-                    data[element] = _substitute(text, cat_token, var_token)
-            marker = _find_residue(new_id) or _find_residue(data)
+            data = _substitute(base | cat_overrides | var_overrides, cat, var, template)
         except RecursionError:
-            raise ExpansionError(
-                f"dynamic entry {_echo(entry.measure_id)} nested too deeply"
-            ) from None
-        if marker:
-            raise ExpansionError(
-                f"unsubstituted placeholder {marker} remains in expansion of"
-                f" {entry.measure_id!r}"
-            )
+            raise ExpansionError(f"dynamic entry {_echo(template)} nested too deeply") from None
         if new_id in seen_ids:
-            raise ExpansionError(f"expansion of {entry.measure_id!r} duplicates id {new_id!r}")
+            raise ExpansionError(f"expansion of {template!r} duplicates id {new_id!r}")
         seen_ids.add(new_id)
         expanded.append(MeasureEntry(measure_id=new_id, data=data))
     return expanded

@@ -783,6 +783,12 @@ def test_dev_mode_downgrades_everything(planted_repo):
     assert set(suite.enforcement.values()) == {"warn"}
 
 
+def test_dev_and_strict_together_are_a_config_error(planted_repo):
+    root, _ = planted_repo
+    with pytest.raises(ConfigError, match="dev and strict are exclusive"):
+        run_suite(scan_repo(root, CONFIG), CONFIG, dev=True, strict=True)
+
+
 def test_off_tier_excluded_from_gating(tmp_path):
     (tmp_path / LONG_NAME_101).write_text("x", encoding="utf-8")
     config = parse_config({"checks": {"T13": {"enforcement": "off"}}})

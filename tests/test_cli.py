@@ -590,6 +590,34 @@ def test_check_reports_a_too_deep_dynamic_entry_under_t14(tmp_path, capsys):
     ]
 
 
+def test_an_override_naming_an_axis_is_rejected_by_expand_and_t14(tmp_path, capsys):
+    info = tmp_path / "data" / "distribution" / "measure_info.json"
+    write_info(
+        info,
+        {
+            "m_{category}": {
+                "long_name": "M {category}",
+                "categories": {"a": {"categories": ["x"]}, "b": {}},
+            }
+        },
+    )
+    message = "categories['a'] overrides may not set 'categories'"
+    code = main(["expand", "--in", str(info), "--out", str(tmp_path / "o.json")])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "o.json").exists()
+    assert main(["check", "--repo", str(tmp_path), "--out", str(tmp_path / "r")]) == 1
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    (t14,) = [c for c in payload["checks"] if c["id"] == "T14"]
+    assert t14["items"] == [
+        {
+            "path": "data/distribution/measure_info.json",
+            "key": "m_{category}",
+            "verdict": "error",
+            "detail": f"dynamic entry could not be expanded: {message}",
+        }
+    ]
+
+
 @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1])
 def test_check_dict_and_expand_agree_at_the_depth_limit(tmp_path, capsys, depth):
     # The root object and the entry hold the statement's lists.

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from itertools import product
+from typing import Any, NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint.errors import ExpansionError
-from commonslint.expansion import expand_dynamic, expand_file, parse_axis
+from commonslint.expansion import _echo, expand_dynamic, expand_file, parse_axis
 from commonslint.metadata import MeasureEntry, parse_measure_info
 
 
@@ -113,8 +115,12 @@ def _nested(depth: int) -> list:
         {"a": list(range(5000))},
         {"y" * 5000: 1},
         ["z" * 5000, "z" * 5000],
+        {"t" * 5000: {"variants": []}},
     ],
-    ids=["deep item", "long item", "long overrides", "long token", "long duplicate"],
+    ids=[
+        "deep item", "long item", "long overrides", "long token", "long duplicate",
+        "long token with an axis override",
+    ],
 )
 def test_axis_errors_echo_a_capped_value(raw):
     with pytest.raises(ExpansionError) as excinfo:
@@ -138,9 +144,22 @@ def test_axis_errors_echo_a_short_value_whole():
 
 
 def test_parse_axis_empty_forms():
-    assert parse_axis(None, "categories") == []
-    assert parse_axis([], "categories") == []
-    assert parse_axis({}, "categories") == []
+    assert parse_axis(None, "categories") == {}
+    assert parse_axis([], "categories") == {}
+    assert parse_axis({}, "categories") == {}
+
+
+@pytest.mark.parametrize("axis", ["categories", "variants"])
+@pytest.mark.parametrize("named", ["categories", "variants"])
+def test_override_may_not_name_an_axis(axis, named):
+    # Left in, the override would put the axis back into a concrete measure,
+    # which then no longer expands as a concrete entry.
+    data = {"long_name": "M {category}", "categories": ["c"], "variants": ["v"]}
+    data[axis] = {"a": {"long_name": "A", named: ["x"]}, "b": {}}
+    entry = dynamic("m_{category}_{variant}", **data)
+    with pytest.raises(ExpansionError) as excinfo:
+        expand_dynamic(entry)
+    assert str(excinfo.value) == f"{axis}['a'] overrides may not set {named!r}"
 
 
 def test_expand_file_replaces_in_place_and_keeps_references():
@@ -191,3 +210,170 @@ def test_cardinality_and_uniqueness_property(categories, variants):
     for entry in expanded:
         assert "{category}" not in entry.measure_id
         assert "{variant}" not in entry.measure_id
+
+
+# ---------------------------------------------------------------- reference
+# The two-walk expansion that substitutes every base value, overwrites it
+# with the overrides, then walks the result again for a leftover
+# placeholder. expand_dynamic must give the same ids, data (key order
+# included) and error texts for every input whose overrides name no axis.
+
+
+class _Spec(NamedTuple):
+    token: str
+    overrides: dict
+
+
+def _reference_parse_axis(raw: object, axis: str) -> list[_Spec]:
+    if raw is None or raw == [] or raw == {}:
+        return []
+    specs: list[_Spec] = []
+    if isinstance(raw, list):
+        for item in raw:
+            if not isinstance(item, str):
+                raise ExpansionError(f"{axis} list items must be strings, got {_echo(item)}")
+            specs.append(_Spec(item, {}))
+    elif isinstance(raw, dict):
+        for token, overrides in raw.items():
+            if overrides is None:
+                overrides = {}
+            if not isinstance(overrides, dict):
+                raise ExpansionError(
+                    f"{axis}[{_echo(token)}] overrides must be an object, got {_echo(overrides)}"
+                )
+            specs.append(_Spec(str(token), dict(overrides)))
+    else:
+        raise ExpansionError(f"{axis} must be a list or object, got {type(raw).__name__}")
+    seen: set[str] = set()
+    for spec in specs:
+        if spec.token in seen:
+            raise ExpansionError(f"duplicate {axis} token {_echo(spec.token)}")
+        seen.add(spec.token)
+    return specs
+
+
+def _reference_substitute(value: Any, category: str | None, variant: str | None) -> Any:
+    if isinstance(value, str):
+        if category is not None:
+            value = value.replace("{category}", category)
+        if variant is not None:
+            value = value.replace("{variant}", variant)
+        return value
+    if isinstance(value, list):
+        return [_reference_substitute(v, category, variant) for v in value]
+    if isinstance(value, dict):
+        return {k: _reference_substitute(v, category, variant) for k, v in value.items()}
+    return value
+
+
+def _reference_residue(value: Any) -> str | None:
+    if isinstance(value, str):
+        for marker in ("{category}", "{variant}"):
+            if marker in value:
+                return marker
+        return None
+    if isinstance(value, list):
+        for v in value:
+            marker = _reference_residue(v)
+            if marker:
+                return marker
+        return None
+    if isinstance(value, dict):
+        for v in value.values():
+            marker = _reference_residue(v)
+            if marker:
+                return marker
+    return None
+
+
+def _reference_expand(entry: MeasureEntry) -> list[MeasureEntry]:
+    categories = _reference_parse_axis(entry.data.get("categories"), "categories")
+    variants = _reference_parse_axis(entry.data.get("variants"), "variants")
+    if not categories and not variants:
+        return [entry]
+    placeholder = {"categories": "{category}", "variants": "{variant}"}
+    for axis_name, specs in (("categories", categories), ("variants", variants)):
+        if specs and placeholder[axis_name] not in entry.measure_id:
+            raise ExpansionError(
+                f"id template {entry.measure_id!r} lacks {placeholder[axis_name]}"
+                f" for its non-empty {axis_name} axis"
+            )
+    base = {k: v for k, v in entry.data.items() if k not in ("categories", "variants")}
+    expanded: list[MeasureEntry] = []
+    seen_ids: set[str] = set()
+    for cat, var in product(categories or [None], variants or [None]):
+        cat_token = cat.token if cat else None
+        var_token = var.token if var else None
+        new_id = _reference_substitute(entry.measure_id, cat_token, var_token)
+        data = {k: _reference_substitute(v, cat_token, var_token) for k, v in base.items()}
+        for spec in (cat, var):
+            if spec is None:
+                continue
+            for element, text in spec.overrides.items():
+                data[element] = _reference_substitute(text, cat_token, var_token)
+        marker = _reference_residue(new_id) or _reference_residue(data)
+        if marker:
+            raise ExpansionError(
+                f"unsubstituted placeholder {marker} remains in expansion of"
+                f" {entry.measure_id!r}"
+            )
+        if new_id in seen_ids:
+            raise ExpansionError(f"expansion of {entry.measure_id!r} duplicates id {new_id!r}")
+        seen_ids.add(new_id)
+        expanded.append(MeasureEntry(measure_id=new_id, data=data))
+    return expanded
+
+
+# Texts that often hold a placeholder, whole or broken; most entries are
+# well formed, so most examples expand.
+_TEXT = st.sampled_from(["a", "{category}", "{variant}", "{variant} of {category}", "{", ""])
+_TOKENS = st.sampled_from(["a", "b", "c", "{category}", "{variant}"])
+_ELEMENTS = st.sampled_from(["long_name", "short_name", "statement", "unit"])
+_LEAVES = st.none() | st.integers(0, 2) | _TEXT
+_FLAT = _LEAVES | st.lists(_LEAVES, max_size=2) | st.dictionaries(_TEXT, _LEAVES, max_size=2)
+_VALUES = _FLAT | st.lists(_FLAT, max_size=2)
+_OVERRIDES = st.dictionaries(_ELEMENTS, _VALUES, min_size=1, max_size=2) | st.none()
+_AXES = (
+    st.dictionaries(_TOKENS, _OVERRIDES, min_size=1, max_size=3)
+    | st.lists(_TOKENS, min_size=1, max_size=3)
+    | st.none()
+)
+
+
+@st.composite
+def _dynamic_entries(draw) -> MeasureEntry:
+    data = dict(draw(st.lists(st.tuples(_ELEMENTS, _VALUES), max_size=3)))
+    data["categories"], data["variants"] = draw(_AXES), draw(_AXES)
+    template = "m" + "_{category}" * bool(data["categories"]) + "_{variant}" * bool(data["variants"])
+    return MeasureEntry(draw(st.just(template) | _TEXT.map(template.__add__)), data)
+
+
+def _outcome(expand, entry: MeasureEntry) -> list[tuple[str, str]] | str:
+    try:
+        return [(e.measure_id, json.dumps(e.data)) for e in expand(entry)]
+    except ExpansionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dynamic_entries())
+@example(
+    MeasureEntry(
+        "m_{category}_{variant}",
+        {
+            "statement": "{variant} in {category}",
+            "unit": "u",
+            "categories": {"a": {"unit": "{category} people", "long_name": "A"}, "b": None},
+            "variants": {"x": {"unit": "per {variant}"}, "y": {}},
+        },
+    )
+)
+@example(MeasureEntry("m_{category}", {"unit": ["{variant}", "{category}"], "categories": ["{variant}"]}))
+# Both placeholders left in one value, and two combinations giving one id.
+@example(MeasureEntry("m_{category}", {"unit": "{variant}{category}category}", "categories": ["{"]}))
+@example(MeasureEntry("m_{category}_{variant}", {"categories": ["{variant}", "a"], "variants": ["a"]}))
+@example(MeasureEntry("m", {"categories": ["a", "a", 1], "variants": 5}))
+@example(MeasureEntry("m_{category}", {"categories": {"a": ["b", 1], "{category}": None}}))
+@example(MeasureEntry("m_{variant}_{category}", {"categories": ["a"], "variants": "a"}))
+def test_expand_dynamic_matches_the_two_walk_reference(entry):
+    assert _outcome(expand_dynamic, entry) == _outcome(_reference_expand, entry)

@@ -519,6 +519,49 @@ def test_dictionary_gives_every_measure_one_linked_page(infos):
         assert sorted(shown) == sorted(expected)
 
 
+# Entries whose expansions collide with each other ("m_a" and "m_{category}"
+# over "a"), or fail: an id without its axis placeholder, a duplicate token,
+# a placeholder left in a value.
+_DYNAMIC_IDS = st.sampled_from(
+    ["m_a", "m_a_b", "m_{category}", "m_{variant}", "m_{category}_{variant}", "m"]
+)
+_AXIS = st.none() | st.lists(st.sampled_from(["a", "b", "a_b"]), min_size=1, max_size=2)
+_DYNAMIC_ENTRY = st.fixed_dictionaries(
+    {"long_name": st.sampled_from(["M", "M {category}", "M {variant}"])},
+    optional={"categories": _AXIS, "variants": _AXIS},
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.dictionaries(_DYNAMIC_IDS, _DYNAMIC_ENTRY, min_size=1, max_size=3))
+@example({"m_{category}": {"long_name": "M", "categories": ["a"]}, "m_a": {"long_name": "M"}})
+@example({"m_{category}": {"long_name": "M {category}", "categories": ["a", "b"]}})
+def test_check_expand_and_dict_agree_on_the_concrete_measures(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_info(tmp / "repo" / "measure_info.json", entries)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(
+                ["expand", "--in", str(tmp / "repo" / "measure_info.json"),
+                 "--out", str(tmp / "expanded.json")]
+            )
+        snapshot = scan_repo(tmp / "repo", CONFIG)
+        (t14,) = run_suite(snapshot, CONFIG, {"T14"}).reports
+        errors = [item for item in t14.items if item.verdict == "error"]
+        if code == 2:
+            # expand stops on the first failing entry; T14 reports it first.
+            message = stderr.getvalue().removeprefix("error: ").removesuffix("\n")
+            assert errors[0].key in entries
+            assert errors[0].detail == f"dynamic entry could not be expanded: {message}"
+            return
+        assert code == 0 and errors == []
+        expanded = json.loads((tmp / "expanded.json").read_text("utf-8"))
+        written = render_dictionary(snapshot, tmp / "dict")
+        pages = [mid for mid, _ in measure_pages(tmp / "dict", written)]
+        assert sorted(pages) == sorted(expanded) == sorted(item.key for item in t14.items)
+
+
 def test_dictionary_rerender_byte_identical(tmp_path):
     snapshot = _dictionary_repo(tmp_path)
     render_dictionary(snapshot, tmp_path / "one")
