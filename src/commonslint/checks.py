@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from typing import Callable, Container, Iterable
 
 from .config import RepoConfig, default_config
-from .errors import ConfigError, DomainError, ExpansionError
-from .expansion import expand_dynamic
+from .errors import ConfigError, DomainError
+from .expansion import expand_dynamic, expand_info
 from .metadata import MeasureInfoFile
 from .scanner import ClassifiedFile, DataTable, ParseFailure, RepoSnapshot
 from .schema import REFERENCES_KEY, is_blank
@@ -111,10 +110,9 @@ def format_percentage(count: int, total: int) -> str:
         raise DomainError(f"total must be positive, got {total}")
     if count < 0 or count > total:
         raise DomainError(f"count must be within [0, {total}], got {count}")
-    pct = (Decimal(count) * 100 / Decimal(total)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP
-    )
-    return f"{pct}%"
+    # Tenths of a percent, rounded half up in integers: (1000*count/total + 1/2) // 1.
+    tenths = (2000 * count + total) // (2 * total)
+    return f"{tenths // 10}.{tenths % 10}%"
 
 
 def _dir_of(path: str) -> str:
@@ -128,30 +126,6 @@ def _ancestor_dirs(path: str):
         yield current
         current = _dir_of(current)
     yield ""
-
-
-def _expanded_ids(info: MeasureInfoFile) -> tuple[set[str], list[tuple[str, str]]]:
-    """Concrete measure ids after dynamic expansion, plus per-entry failures.
-
-    An entry fails when it cannot be expanded, or when one of its ids
-    collides with an id of an earlier entry of the same file.
-    """
-    ids: set[str] = set()
-    failures: list[tuple[str, str]] = []
-    for entry in info:
-        try:
-            concrete = [e.measure_id for e in expand_dynamic(entry)]
-        except ExpansionError as exc:
-            failures.append((entry.measure_id, str(exc)))
-            ids.add(entry.measure_id)
-            continue
-        clash = next((mid for mid in concrete if mid in ids), None)
-        if clash is not None:
-            failures.append(
-                (entry.measure_id, f"expanded id {clash!r} collides with an existing entry")
-            )
-        ids.update(concrete)
-    return ids, failures
 
 
 class _Run:
@@ -194,8 +168,16 @@ class _Run:
 
     @cached_property
     def expanded(self) -> dict[str, tuple[set[str], list[tuple[str, str]]]]:
-        """Per parsed measure_info path, its expanded ids and per-entry failures."""
-        return {info.path: _expanded_ids(info) for info in self.snapshot.parsed_measure_infos}
+        """Per parsed measure_info path, the ids its entries take and their failures."""
+        expanded = {}
+        for info in self.snapshot.parsed_measure_infos:
+            ids, failures = set(), []
+            for entry, concrete, problem in expand_info(info, expand_dynamic):
+                ids.update(measure.measure_id for measure in concrete or [entry])
+                if problem is not None:
+                    failures.append((entry.measure_id, problem))
+            expanded[info.path] = ids, failures
+        return expanded
 
 
 def _membership_items(

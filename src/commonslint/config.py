@@ -297,4 +297,6 @@ def load_config(config_path: str | Path | None = None, repo_root: str | Path | N
         raise ConfigError(f"invalid YAML in {path}: {_yaml_problem(exc)}") from exc
     except RecursionError as exc:
         raise ConfigError(f"invalid YAML in {path}: nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's digit cap, a date such as 2021-13-01
+        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config(raw, base_dir=path.parent)

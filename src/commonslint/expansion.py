@@ -7,13 +7,15 @@ product (e.g. five measures for each of nineteen industries). A token's
 overrides replace their elements before substitution, so an override's own
 text is substituted too; an override may not name an axis. Concrete entries
 carry no axis, and no placeholder may be left in their ids or values.
+``expand_info`` is the one path that T5 and T14, ``expand`` and ``dict``
+take from a measure_info file to its concrete measures.
 """
 
 from __future__ import annotations
 
 import reprlib
 from itertools import product
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ExpansionError
 from .metadata import MeasureEntry, MeasureInfoFile
@@ -141,18 +143,42 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
     return expanded
 
 
+def expand_info(info: MeasureInfoFile, expand: Callable[[MeasureEntry], list[MeasureEntry]]):
+    """Yield (entry, concrete measures, problem) for each entry of ``info``, in file order.
+
+    ``expand`` is called once per entry. The measures are None when it raises
+    ExpansionError, whose text is then the problem; an entry that expands has
+    a problem when an earlier entry took one of its ids. A failed entry's ids
+    count as taken: its own id, or all its concrete ids when it collided.
+    Callers pass their own ``expand_dynamic`` binding, which a tracer or a
+    call count may replace by name.
+    """
+    taken: set[str] = set()
+    for entry in info:
+        try:
+            concrete = expand(entry)
+        except ExpansionError as exc:
+            taken.add(entry.measure_id)
+            yield entry, None, str(exc)
+            continue
+        ids = [measure.measure_id for measure in concrete]
+        clash = next((mid for mid in ids if mid in taken), None)
+        taken.update(ids)
+        if clash is None:
+            yield entry, concrete, None
+        else:
+            yield entry, concrete, f"expanded id {clash!r} collides with an existing entry"
+
+
 def expand_file(mi: MeasureInfoFile) -> MeasureInfoFile:
     """Expand every dynamic entry in a file; concrete entries pass through.
 
     Entry order is preserved, with each dynamic entry replaced in place by
-    its expansions. Ids must stay unique across the whole file.
+    its expansions. The first entry that fails or collides raises ExpansionError.
     """
     entries: dict[str, MeasureEntry] = {}
-    for entry in mi:
-        for concrete in expand_dynamic(entry):
-            if concrete.measure_id in entries:
-                raise ExpansionError(
-                    f"expanded id {concrete.measure_id!r} collides with an existing entry"
-                )
-            entries[concrete.measure_id] = concrete
+    for _, concrete, problem in expand_info(mi, expand_dynamic):
+        if problem is not None:
+            raise ExpansionError(problem)
+        entries.update((measure.measure_id, measure) for measure in concrete)
     return MeasureInfoFile(path=mi.path, entries=entries, references=mi.references)

@@ -104,6 +104,8 @@ def parse_json(text: str, path: str | None = None, object_pairs_hook=None) -> An
         return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.pos) from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(str(exc), path=path) from exc
     except RecursionError as exc:
         raise ParseError("nested too deeply", path=path) from exc
     except DuplicateKeyError as exc:

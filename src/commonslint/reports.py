@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .checks import VERDICTS, SuiteReport, format_percentage
-from .errors import ExpansionError
-from .expansion import expand_dynamic
+from .expansion import expand_dynamic, expand_info
 from .fair import FairReport, AREAS, LEVELS, LEVEL_LABELS
 from .metadata import MeasureEntry
 from .scanner import RepoSnapshot
@@ -327,28 +326,16 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
     """
     out = Path(outdir)
 
-    # Expand every parsed measure_info once; an entry that fails to expand,
-    # or whose ids collide with an earlier entry's of the same file, keeps its
-    # raw form, marked on its page. Citations resolve against the reference
-    # ids of the file that defines the entry.
+    # An entry that fails to expand, or collides with an earlier entry of its
+    # file, keeps its raw form, marked on its page. Citations resolve against
+    # the reference ids of the file that defines the entry.
     rendered: list[tuple[MeasureEntry, str, str | None, frozenset[str]]] = []
     for info in snapshot.parsed_measure_infos:
         references = info.reference_ids()
-        seen: set[str] = set()
-        for entry in info:
-            try:
-                concrete, problem = expand_dynamic(entry), None
-            except ExpansionError as exc:
-                concrete, problem = [entry], str(exc)
-            ids = [expanded.measure_id for expanded in concrete]
-            clash = next((mid for mid in ids if mid in seen), None)
-            seen.update(ids)
-            if problem is None and clash is not None:
-                concrete = [entry]
-                problem = f"expanded id {clash!r} collides with an existing entry"
+        for entry, concrete, problem in expand_info(info, expand_dynamic):
             note = None if problem is None else f"dynamic entry could not be expanded: {problem}"
-            for expanded in concrete:
-                rendered.append((expanded, info.path, note, references))
+            for measure in concrete if problem is None else [entry]:
+                rendered.append((measure, info.path, note, references))
 
     rendered.sort(key=lambda item: item[0].measure_id)
 

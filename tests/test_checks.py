@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,21 @@ def test_format_percentage_examples(count, total, expected):
 def test_format_percentage_domain_errors(count, total):
     with pytest.raises(DomainError):
         format_percentage(count, total)
+
+
+def _reference_percentage(count: int, total: int) -> str:
+    """The Decimal formula format_percentage rounded with before it rounded in integers."""
+    pct = (Decimal(count) * 100 / Decimal(total)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+    return f"{pct}%"
+
+
+def test_format_percentage_matches_the_decimal_reference():
+    pairs = [(count, total) for total in range(1, 200) for count in range(total + 1)]
+    # Ties and near-ties at large totals.
+    pairs += [(1, 2_000), (3, 2_000), (10**9 + 1, 2 * 10**12), (10**12 - 1, 10**12), (1, 10**12)]
+    assert [format_percentage(*pair) for pair in pairs] == [
+        _reference_percentage(*pair) for pair in pairs
+    ]
 
 
 @given(st.integers(min_value=1, max_value=10_000).flatmap(

@@ -648,6 +648,58 @@ def test_check_dict_and_expand_agree_at_the_depth_limit(tmp_path, capsys, depth)
         assert (code, err) == (2, f"error: {info}: nested too deeply\n")
 
 
+# ---------------------------------------------------------------- long integers
+
+# More digits than Python converts from text (sys.get_int_max_str_digits(), 4 300).
+LONG_INT_JSON = '{"m": {"long_name": "M", "x": %s}}' % ("1" * 5_000)
+LONG_INT_PROBLEM = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+    " use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
+def test_check_and_dict_read_a_long_integer_as_a_parse_failure(tmp_path, capsys):
+    dataset = tmp_path / "repo" / "data" / "distribution"
+    dataset.mkdir(parents=True)
+    (dataset / "measure_info.json").write_text(LONG_INT_JSON, encoding="utf-8")
+    (dataset / "layer.geojson").write_text(LONG_INT_JSON, encoding="utf-8")
+    code = main(["check", "--repo", str(tmp_path / "repo"), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "r" / "suite.json").read_text("utf-8"))
+    items = [(c["id"], i) for c in payload["checks"] for i in c["items"]]
+    info = "data/distribution/measure_info.json"
+    reason = f"{info}: {LONG_INT_PROBLEM}"
+    assert [i["detail"] for cid, i in items if cid == "T8" and i["verdict"] == "invalid"] == [
+        LONG_INT_PROBLEM, reason
+    ]
+    errors = {cid: i["detail"] for cid, i in items if i["path"] == info and i["verdict"] == "error"}
+    assert errors == dict.fromkeys(("T3", "T7", "T14"), f"file could not be parsed: {reason}")
+
+    code = main(["dict", "--repo", str(tmp_path / "repo"), "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == f"warning: {info} left out of the dictionary: {LONG_INT_PROBLEM}\n"
+
+
+@pytest.mark.parametrize("command", ["config", "expand", "assessment", "checklist"])
+def test_a_long_integer_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / ("input.yml" if command == "config" else "input.json")
+    text = "filename_limit: " + "1" * 5_000 if command == "config" else LONG_INT_JSON
+    path.write_text(text, encoding="utf-8")
+    argv = {
+        "config": ["check", "--repo", str(tmp_path), "--config", str(path), "--no-reports"],
+        "expand": ["expand", "--in", str(path), "--out", str(tmp_path / "o.json")],
+        "assessment": ["fair", "--assessment", str(path), "--out", str(tmp_path / "f")],
+        "checklist": ["fair", "--checklist", str(path), "--out", str(tmp_path / "f")],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.endswith(f"{LONG_INT_PROBLEM}\n")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- unencodable text
 
 

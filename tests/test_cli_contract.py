@@ -56,6 +56,8 @@ _CONTENTS = (
     b'{"RDA-F1-01M": 1, "RDA-F1-01M": 4}',
     b'{"levels": {"RDA-F1-01M": 1}, "assessor": null}',
     b'{"levels": {"RDA-F1-01M": 1}, "asessor": "x", "extra": 1}',
+    # More digits than Python converts from text (sys.get_int_max_str_digits()).
+    b'{"m": {"x": %s}}' % (b"1" * 5_000),
 )
 _PATHS = (
     "measure_info.json",
@@ -89,6 +91,7 @@ _CONFIGS = (
     "- 1\n",
     "[" * 5_000,
     "\udcff: 1\n",
+    "filename_limit: " + "1" * 5_000 + "\n",
 )
 
 

@@ -215,3 +215,22 @@ def test_load_config_invalid_yaml(tmp_path):
     path.write_text("known_measures: [unclosed\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid YAML"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        # Past the digits Python converts from text (sys.get_int_max_str_digits()).
+        ("filename_limit: " + "1" * 5_000, "Exceeds the limit (4300 digits)"),
+        ("ignore_dirs: [2021-13-01]", "month must be in 1..12"),
+    ],
+    ids=["long-integer", "bad-date"],
+)
+def test_load_config_rejects_a_scalar_yaml_cannot_build_in_one_line(tmp_path, text, problem):
+    path = tmp_path / "c.yml"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"invalid YAML in {path}: {problem}")
+    assert "\n" not in message

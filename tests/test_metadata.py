@@ -50,6 +50,15 @@ def test_invalid_utf8_is_a_parse_error():
     assert excinfo.value.stage == "json"
 
 
+
+@pytest.mark.parametrize("reader", [parse_json, parse_measure_info])
+def test_an_integer_past_pythons_digit_cap_is_a_parse_error(reader):
+    # Python reads at most sys.get_int_max_str_digits() (4 300) digits into an int.
+    with pytest.raises(ParseError) as excinfo:
+        reader('{"m": {"x": %s}}' % ("1" * 5_000), path="long.json")
+    assert excinfo.value.stage == "json"
+    assert str(excinfo.value).startswith("long.json: Exceeds the limit (4300 digits)")
+
 # Any bytes, or bytes behind a nesting prefix deep enough to exhaust the
 # decoder's recursion limit.
 _RAW = st.binary() | st.builds(

@@ -103,3 +103,12 @@ def test_commands_without_a_config_file_never_import_yaml(clean_repo, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert run.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_importing_the_cli_leaves_decimal_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, commonslint.cli; print('decimal' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout == "False\n"

@@ -10,6 +10,7 @@ import tempfile
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -27,6 +28,8 @@ from commonslint.checks import (
     run_suite,
 )
 from commonslint.config import default_config
+from commonslint.errors import ExpansionError
+from commonslint.expansion import expand_dynamic, expand_file
 from commonslint.fair import (
     AREAS,
     LEVELS,
@@ -35,6 +38,7 @@ from commonslint.fair import (
     load_indicator_registry,
     score_assessment,
 )
+from commonslint.metadata import MeasureEntry, MeasureInfoFile
 from commonslint.reports import (
     fair_to_payload,
     render_dictionary,
@@ -560,6 +564,106 @@ def test_check_expand_and_dict_agree_on_the_concrete_measures(entries):
         written = render_dictionary(snapshot, tmp / "dict")
         pages = [mid for mid, _ in measure_pages(tmp / "dict", written)]
         assert sorted(pages) == sorted(expanded) == sorted(item.key for item in t14.items)
+
+
+# The three loops that expanded entries on their own before expand_info, kept
+# verbatim as references: T5/T14's ids and failures, the dictionary's entries
+# and notes, and expand's result.
+
+
+def _reference_expanded_ids(info: MeasureInfoFile) -> tuple[set[str], list[tuple[str, str]]]:
+    ids: set[str] = set()
+    failures: list[tuple[str, str]] = []
+    for entry in info:
+        try:
+            concrete = [e.measure_id for e in expand_dynamic(entry)]
+        except ExpansionError as exc:
+            failures.append((entry.measure_id, str(exc)))
+            ids.add(entry.measure_id)
+            continue
+        clash = next((mid for mid in concrete if mid in ids), None)
+        if clash is not None:
+            failures.append(
+                (entry.measure_id, f"expanded id {clash!r} collides with an existing entry")
+            )
+        ids.update(concrete)
+    return ids, failures
+
+
+def _reference_dictionary_entries(snapshot):
+    rendered: list[tuple[MeasureEntry, str, str | None, frozenset[str]]] = []
+    for info in snapshot.parsed_measure_infos:
+        references = info.reference_ids()
+        seen: set[str] = set()
+        for entry in info:
+            try:
+                concrete, problem = expand_dynamic(entry), None
+            except ExpansionError as exc:
+                concrete, problem = [entry], str(exc)
+            ids = [expanded.measure_id for expanded in concrete]
+            clash = next((mid for mid in ids if mid in seen), None)
+            seen.update(ids)
+            if problem is None and clash is not None:
+                concrete = [entry]
+                problem = f"expanded id {clash!r} collides with an existing entry"
+            note = None if problem is None else f"dynamic entry could not be expanded: {problem}"
+            for expanded in concrete:
+                rendered.append((expanded, info.path, note, references))
+
+    rendered.sort(key=lambda item: item[0].measure_id)
+    return rendered
+
+
+def _reference_expand_file(mi: MeasureInfoFile) -> MeasureInfoFile:
+    entries: dict[str, MeasureEntry] = {}
+    for entry in mi:
+        for concrete in expand_dynamic(entry):
+            if concrete.measure_id in entries:
+                raise ExpansionError(
+                    f"expanded id {concrete.measure_id!r} collides with an existing entry"
+                )
+            entries[concrete.measure_id] = concrete
+    return MeasureInfoFile(path=mi.path, entries=entries, references=mi.references)
+
+
+def _expand_outcome(expand, info: MeasureInfoFile) -> MeasureInfoFile | str:
+    try:
+        return expand(info)
+    except ExpansionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(_DYNAMIC_IDS, _DYNAMIC_ENTRY, min_size=1, max_size=4))
+# A failed entry's own id is taken: the next entry to expand to it collides.
+@example({"m_a": {"long_name": "M", "categories": ["a"]}, "m_{category}": {"categories": ["a"]}})
+# An entry that does not expand fails with its own error, even on a taken id.
+@example({"m_{category}": {"categories": ["a"]}, "m_a": {"long_name": "M", "categories": ["b"]}})
+# A collided entry's ids are all taken, the one that collided and the rest.
+@example({"m_a": {}, "m_{category}": {"categories": ["a", "a_b"]}, "m_a_b": {"long_name": "M"}})
+def test_expand_info_gives_each_consumer_what_its_own_loop_gave(entries):
+    info = MeasureInfoFile(
+        path="d/measure_info.json",
+        entries={mid: MeasureEntry(mid, data) for mid, data in entries.items()},
+        references={"r1": {}},
+    )
+    snapshot = SimpleNamespace(parsed_measure_infos=[info])
+
+    assert checks._Run(snapshot, CONFIG).expanded == {info.path: _reference_expanded_ids(info)}
+
+    pages = []
+
+    def page(entry, source_path, references, note):
+        pages.append((entry, source_path, note, references))
+        return ""
+
+    with mock.patch.object(reports, "_measure_page", page), mock.patch.object(
+        reports, "write_atomic", lambda path, text: None
+    ):
+        render_dictionary(snapshot, "unwritten")
+    assert pages == _reference_dictionary_entries(snapshot)
+
+    assert _expand_outcome(expand_file, info) == _expand_outcome(_reference_expand_file, info)
 
 
 def test_dictionary_rerender_byte_identical(tmp_path):
