@@ -114,7 +114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not selected:
             raise ConfigError(f"--tests names no check id: {args.tests!r}")
     config = load_config(args.config, repo_root=args.repo)
-    snapshot = _without_reports(scan_repo(args.repo, config), args.out)
+    snapshot = _without_reports(scan_repo(args.repo, config, cache_tables=True), args.out)
     suite = run_suite(snapshot, config, selected, dev=args.dev, strict=args.strict)
     for report in suite.reports:
         tier = suite.enforcement[report.check.id]
@@ -158,7 +158,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     info = load_measure_info(args.infile)
     expanded = expand_file(info)
     out_path = Path(args.outfile)
-    write_atomic(out_path, serialize_measure_info(expanded))
+    write_atomic(out_path, (serialize_measure_info(expanded),))
     print(f"expanded {len(info.entries)} entries into {len(expanded.entries)} ({_shown(out_path)})")
     return EXIT_PASS
 

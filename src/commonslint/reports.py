@@ -7,7 +7,8 @@ atomically moved into place.
 
 ``suite.json`` has its own writer, ``_suite_json``, which lays the text out
 in one pass, byte for byte as ``json.dumps(indent=2, sort_keys=True,
-ensure_ascii=False)`` would; ``fair.json`` still goes through ``json.dumps``.
+ensure_ascii=False)`` would, and streams it to disk one report block at a
+time; ``fair.json`` still goes through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from html import escape
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .checks import VERDICTS, SuiteReport, format_percentage
 from .expansion import expand_dynamic, expand_info
@@ -56,12 +57,16 @@ def _page(title: str, body: str) -> str:
     )
 
 
-def write_atomic(path: Path, content: str) -> None:
-    """Write ``content`` as UTF-8 to a new file beside ``path``, then move it into place.
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order as UTF-8 to a new file beside ``path``, then move it into place.
 
-    The file gets the mode the umask leaves of 0666, as any new file does, and
-    no temporary file outlives the call.
+    A page written whole passes a one-element tuple. A bare ``str`` is a
+    TypeError: it would be written one character at a time. The file gets
+    the mode the umask leaves of 0666, as any new file does, and no
+    temporary file outlives the call, even when ``chunks`` raises.
     """
+    if isinstance(chunks, str):
+        raise TypeError("write_atomic takes an iterable of text chunks, not a str")
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     # A lone surrogate (from an undecodable file name or a JSON escape) cannot
@@ -70,7 +75,7 @@ def write_atomic(path: Path, content: str) -> None:
     handle = open(temp, "x", encoding="utf-8", errors="backslashreplace")
     try:
         with handle:
-            handle.write(content)
+            handle.writelines(chunks)
         os.replace(temp, path)
     except BaseException:
         temp.unlink()
@@ -91,8 +96,8 @@ def _json_block(members: list[str], indent: str, brackets: str) -> str:
     return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{indent}{brackets[1]}"
 
 
-def _suite_json(suite: SuiteReport) -> str:
-    """The suite.json text, in one direct pass.
+def _suite_json(suite: SuiteReport) -> Iterator[str]:
+    """The suite.json text, in one direct pass, one report block per chunk.
 
     It is the text ``json.dumps(payload, indent=2, sort_keys=True,
     ensure_ascii=False)`` writes for the suite's payload, with the sorted key
@@ -102,8 +107,8 @@ def _suite_json(suite: SuiteReport) -> str:
     ``json.dumps`` uses.
     """
     quote = encode_basestring
-    checks = []
-    for report in suite.reports:
+    yield '{\n  "checks": ['
+    for i, report in enumerate(suite.reports):
         items = [
             "        {\n"
             f'          "detail": {quote(item.detail)},\n'
@@ -114,8 +119,8 @@ def _suite_json(suite: SuiteReport) -> str:
             for item in report.items
         ]
         counts = [f"        {quote(v)}: {n}" for v, n in sorted(report.counts.items())]
-        checks.append(
-            "    {\n"
+        yield (
+            (",\n" if i else "\n") + "    {\n"
             f'      "counts": {_json_block(counts, "      ", "{}")},\n'
             f'      "id": {quote(report.check.id)},\n'
             f'      "items": {_json_block(items, "      ", "[]")},\n'
@@ -126,9 +131,8 @@ def _suite_json(suite: SuiteReport) -> str:
             "    }"
         )
     enforcement = [f"    {quote(c)}: {quote(t)}" for c, t in sorted(suite.enforcement.items())]
-    return (
-        "{\n"
-        f'  "checks": {_json_block(checks, "  ", "[]")},\n'
+    yield (
+        ("\n  ]," if suite.reports else "],") + "\n"
         f'  "enforcement": {_json_block(enforcement, "  ", "{}")},\n'
         f'  "overall_pass": {"true" if suite.overall_pass else "false"},\n'
         f'  "root": {quote(suite.root)}\n'
@@ -192,7 +196,7 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
     for report, filename in zip(suite.reports, filenames):
         cid = report.check.id
         enforcement = suite.enforcement.get(cid, "enforced")
-        write_atomic(out / filename, _check_page(report, enforcement))
+        write_atomic(out / filename, (_check_page(report, enforcement),))
         index_lines.append(
             f'    <li id="line-{cid}"><a href="{filename}">{escape(report.check.name)}</a>'
             f" [{cid}]: {escape(report.summary_line())} &middot; {escape(enforcement)}</li>\n"
@@ -206,7 +210,7 @@ def render_suite(suite: SuiteReport, outdir: str | Path) -> list[str]:
         "  <ul>\n" + "".join(index_lines) + "  </ul>\n"
         '  <p>Machine-readable results: <a href="suite.json">suite.json</a></p>\n'
     )
-    write_atomic(out / "index.html", _page("Check suite report", index_body))
+    write_atomic(out / "index.html", (_page("Check suite report", index_body),))
     write_atomic(out / "suite.json", _suite_json(suite))
     return filenames
 
@@ -347,7 +351,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
         filename = _page_name(used, "measures", entry.measure_id)
         category = str(entry.get("category") or "uncategorized")
         by_category.setdefault(category, []).append((entry.measure_id, filename))
-        write_atomic(out / filename, _measure_page(entry, source_path, references, note))
+        write_atomic(out / filename, (_measure_page(entry, source_path, references, note),))
         written.append(filename)
         measure_links.append(
             f'    <li><a href="{filename}">{escape(entry.measure_id)}</a>'
@@ -366,7 +370,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
             "  <ul>\n" + links + "  </ul>\n"
             '  <p><a href="../index.html">All measures</a></p>\n'
         )
-        write_atomic(out / filename, _page(f"Category: {category}", body))
+        write_atomic(out / filename, (_page(f"Category: {category}", body),))
         written.append(filename)
         category_links.append(f'    <li><a href="{filename}">{escape(category)}</a></li>\n')
 
@@ -378,7 +382,7 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
         "  <h2>All measures</h2>\n"
         "  <ul>\n" + "".join(measure_links) + "  </ul>\n"
     )
-    write_atomic(out / "index.html", _page("Data dictionary", index_body))
+    write_atomic(out / "index.html", (_page("Data dictionary", index_body),))
     written.append("index.html")
     return written
 
@@ -461,6 +465,6 @@ def render_fair(report: FairReport, outdir: str | Path) -> list[str]:
         "  </table>\n"
         f"{gaps_html}"
     )
-    write_atomic(out / "fair.html", _page("FAIR maturity report", body))
-    write_atomic(out / "fair.json", _dump_json(fair_to_payload(report)))
+    write_atomic(out / "fair.html", (_page("FAIR maturity report", body),))
+    write_atomic(out / "fair.json", (_dump_json(fair_to_payload(report)),))
     return ["fair.html", "fair.json"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -71,6 +72,14 @@ def write_table(path: Path, rows: list[tuple], columns: tuple = TABLE_COLUMNS) -
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def settle_files(root: Path) -> None:
+    """Date every file under ``root`` an hour back, so the table cache may keep its parse."""
+    then = time.time_ns() - 3600 * 10**9
+    for path in root.rglob("*"):
+        if path.is_file():
+            os.utime(path, ns=(then, then))
 
 
 def _write_code(dataset: Path) -> None:

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from commonslint import scanner, table_cache
 from commonslint.cli import main
 from commonslint.metadata import MAX_JSON_DEPTH, load_measure_info
-from repo_fixtures import clean_entry, count_parses, split_tables, write_info
+from repo_fixtures import clean_entry, count_parses, settle_files, split_tables, write_info
 
 CHECKLIST = {
     "F1": "WorkingTowards", "F2": "WorkingTowards", "F3": "Achieving",
@@ -196,9 +197,12 @@ def _each_once(root, pattern: str) -> Counter:
 
 def test_full_check_parses_each_file_once(planted_repo, tmp_path, monkeypatch, capsys):
     root, _ = planted_repo
-    # In-process, and split across two and three processes.
+    settle_files(root)
+    monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", 0)
+    # In-process, and split across two and three processes, each on a cold table cache.
     for cpus in (None, 2, 3):
         with monkeypatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-{cpus}"))
             parses = count_parses(patch, tmp_path / f"parses-{cpus}.log")
             forked = split_tables(patch, cpus)
             main(["check", "--repo", str(root), "--out", str(tmp_path / f"r-{cpus}")])
@@ -207,6 +211,37 @@ def test_full_check_parses_each_file_once(planted_repo, tmp_path, monkeypatch, c
         assert tables == _each_once(root, "*.csv")
         assert infos == _each_once(root, "measure_info.json")
         assert len(tables) == 6 and len(infos) == 6
+
+
+def _tree(path: Path) -> dict[str, bytes]:
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+def test_warm_check_parses_no_table_and_writes_the_same_reports(
+    planted_repo, tmp_path, monkeypatch, capsys
+):
+    root, _ = planted_repo
+    settle_files(root)
+    repo = _tree(root)
+    monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", 0)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+    runs = []
+    for n in range(2):
+        with monkeypatch.context() as patch:
+            parses = count_parses(patch, tmp_path / f"parses-{n}.log")
+            code = main(["check", "--repo", str(root), "--out", str(tmp_path / f"r-{n}")])
+        runs.append((code, capsys.readouterr().out.splitlines()[:-1], _tree(tmp_path / f"r-{n}")))
+        tables, infos = parses()
+        assert tables == (_each_once(root, "*.csv") if n == 0 else Counter())
+        assert infos == _each_once(root, "measure_info.json")
+    assert runs[0] == runs[1]
+    # The cache is no repository file, and it is not rewritten when nothing changed.
+    assert _tree(root) == repo
+    cache = table_cache.cache_path(root)
+    assert cache.parent == tmp_path / "cache-home" / "commonslint"
+    stamp = cache.stat().st_mtime_ns
+    main(["check", "--repo", str(root), "--no-reports"])
+    assert cache.stat().st_mtime_ns == stamp
 
 
 def test_dict_reads_metadata_only(planted_repo, tmp_path, parses, capsys):

@@ -112,3 +112,29 @@ def test_importing_the_cli_leaves_decimal_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert run.stdout == "False\n"
+
+
+_HASHLIB_LOADED = """\
+import sys
+from commonslint import scanner
+from commonslint.cli import main
+
+repo, out = sys.argv[1:]
+main(["scan", "--repo", repo])
+main(["dict", "--repo", repo, "--out", f"{out}/dictionary"])
+main(["check", "--repo", repo, "--tests", "T11", "--no-reports"])
+main(["check", "--repo", repo, "--no-reports"])  # tables below _CACHE_MIN_BYTES
+before = "hashlib" in sys.modules
+scanner._CACHE_MIN_BYTES = 0
+main(["check", "--repo", repo, "--no-reports"])
+print(before, "hashlib" in sys.modules)
+"""
+
+
+def test_only_a_check_through_the_table_cache_loads_hashlib(clean_repo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_LOADED, str(clean_repo), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "False True"

@@ -228,7 +228,7 @@ def _suites(draw) -> SuiteReport:
 @example(suite=SuiteReport(root="", reports=()))
 @example(suite=SuiteReport(root="r", reports=(CheckReport(check=CHECKS[0]),), enforcement={"T2": "warn"}))
 def test_suite_json_writer_matches_json_dumps(suite):
-    assert reports._suite_json(suite) == _oracle_text(suite)
+    assert "".join(reports._suite_json(suite)) == _oracle_text(suite)
 
 
 def test_write_atomic_removes_its_temp_file_when_the_move_fails(tmp_path, monkeypatch):
@@ -238,9 +238,22 @@ def test_write_atomic_removes_its_temp_file_when_the_move_fails(tmp_path, monkey
     monkeypatch.setattr(os, "replace", refuse)
     target = tmp_path / "out" / "page.html"
     with pytest.raises(OSError, match="cross-device"):
-        write_atomic(target, "<p>page</p>")
+        write_atomic(target, ("<p>page</p>",))
     assert not target.exists()
     assert list(target.parent.iterdir()) == []
+
+
+def test_write_atomic_removes_its_temp_file_when_the_chunks_fail(tmp_path):
+    def chunks():
+        yield "<p>half"
+        raise RuntimeError("render failed")
+
+    target = tmp_path / "page.html"
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_atomic(target, chunks())
+    with pytest.raises(TypeError, match="not a str"):
+        write_atomic(target, "<p>page</p>")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- dictionary
