@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Container, Iterable
 
 from .config import RepoConfig, default_config
 from .errors import ConfigError, DomainError
-from .expansion import expand_dynamic, expand_info
+from .expansion import expand_dynamic, expand_ids, expand_info
 from .metadata import MeasureInfoFile
 from .scanner import ClassifiedFile, DataTable, ParseFailure, RepoSnapshot
 from .schema import REFERENCES_KEY, is_blank
@@ -37,7 +37,7 @@ VERDICTS = ("valid", "invalid", "missing", "extra", "error", "skipped")
 _DETAIL_REQUIRED = {"invalid", "missing", "extra", "error"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckItem:
     """One examined subject: a path, optionally narrowed by a key."""
 
@@ -46,11 +46,14 @@ class CheckItem:
     key: str | None = None
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict: {self.verdict!r}")
-        if self.verdict in _DETAIL_REQUIRED and not self.detail:
-            raise ValueError(f"{self.verdict} item for {self.path} needs a detail")
+    def __init__(self, path: str, verdict: str, key: str | None = None, detail: str = "") -> None:
+        # Filled through the instance dict: no object.__setattr__ call a field.
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict: {verdict!r}")
+        if verdict in _DETAIL_REQUIRED and not detail:
+            raise ValueError(f"{verdict} item for {path} needs a detail")
+        fields = self.__dict__
+        fields["path"], fields["verdict"], fields["key"], fields["detail"] = path, verdict, key, detail
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,12 @@ class _Run:
     @cached_property
     def expanded(self) -> dict[str, tuple[set[str], list[tuple[str, str]]]]:
         """Per parsed measure_info path, the ids its entries take and their failures."""
+        concrete_ids = partial(expand_ids, expand=expand_dynamic)
         expanded = {}
         for info in self.snapshot.parsed_measure_infos:
             ids, failures = set(), []
-            for entry, concrete, problem in expand_info(info, expand_dynamic):
-                ids.update(measure.measure_id for measure in concrete or [entry])
+            for entry, concrete, problem in expand_info(info, concrete_ids, ids_only=True):
+                ids.update(concrete or [entry.measure_id])
                 if problem is not None:
                     failures.append((entry.measure_id, problem))
             expanded[info.path] = ids, failures
@@ -479,13 +483,15 @@ _SUBJECTS = {
 
 def _run_check(check: Check, run: _Run) -> CheckReport:
     settings = run.config.check_settings(check.id)
+    scoped = settings.include or settings.exclude
     if check.subject == "repo":
-        items = [i for i in check.visit(run.snapshot, run) if settings.applies_to(i.path)]
+        items = check.visit(run.snapshot, run)
+        items = [i for i in items if settings.applies_to(i.path)] if scoped else items
         return CheckReport(check=check, items=tuple(items))
     attr, noun = _SUBJECTS[check.subject]
     items = []
     for subject in getattr(run.snapshot, attr):
-        if not settings.applies_to(subject.path):
+        if scoped and not settings.applies_to(subject.path):
             continue
         if isinstance(subject, ParseFailure):
             detail = f"{noun} could not be parsed: {subject.message}"

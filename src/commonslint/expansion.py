@@ -8,11 +8,14 @@ overrides replace their elements before substitution, so an override's own
 text is substituted too; an override may not name an axis. Concrete entries
 carry no axis, and no placeholder may be left in their ids or values.
 ``expand_info`` is the one path that T5 and T14, ``expand`` and ``dict``
-take from a measure_info file to its concrete measures.
+take from a measure_info file to its concrete measures. T5 and T14 read
+ids alone: ``expand_ids`` judges each string of an entry once, where no
+combination of tokens can fail, and walks the entry in full elsewhere.
 """
 
 from __future__ import annotations
 
+import re
 import reprlib
 from itertools import product
 from typing import Any, Callable
@@ -102,6 +105,19 @@ def _substitute(value: Any, category: str | None, variant: str | None, template:
     return value
 
 
+def _axes(entry: MeasureEntry) -> tuple[dict[str, dict], dict[str, dict]]:
+    """The entry's parsed axes; raises if its id template lacks a non-empty axis's placeholder."""
+    categories = parse_axis(entry.data.get("categories"), "categories")
+    variants = parse_axis(entry.data.get("variants"), "variants")
+    for axis_name, tokens in (("categories", categories), ("variants", variants)):
+        if tokens and _AXIS_PLACEHOLDER[axis_name] not in entry.measure_id:
+            raise ExpansionError(
+                f"id template {entry.measure_id!r} lacks {_AXIS_PLACEHOLDER[axis_name]}"
+                f" for its non-empty {axis_name} axis"
+            )
+    return categories, variants
+
+
 def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
     """Expand one entry into its concrete measures.
 
@@ -109,19 +125,11 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
     index then variant index; resulting ids must be unique and no output
     field may retain a literal axis placeholder.
     """
-    categories = parse_axis(entry.data.get("categories"), "categories")
-    variants = parse_axis(entry.data.get("variants"), "variants")
+    categories, variants = _axes(entry)
     if not categories and not variants:
         return [entry]
 
     template = entry.measure_id
-    for axis_name, tokens in (("categories", categories), ("variants", variants)):
-        if tokens and _AXIS_PLACEHOLDER[axis_name] not in template:
-            raise ExpansionError(
-                f"id template {template!r} lacks {_AXIS_PLACEHOLDER[axis_name]}"
-                f" for its non-empty {axis_name} axis"
-            )
-
     base = {k: v for k, v in entry.data.items() if k not in DYNAMIC_AXES}
     expanded: list[MeasureEntry] = []
     seen_ids: set[str] = set()
@@ -143,13 +151,70 @@ def expand_dynamic(entry: MeasureEntry) -> list[MeasureEntry]:
     return expanded
 
 
-def expand_info(info: MeasureInfoFile, expand: Callable[[MeasureEntry], list[MeasureEntry]]):
+# Stands in for every token while an entry's strings are judged once. After
+# that, a placeholder left stays in every combination, and a "{" with a token
+# before its "}" may close a placeholder around the token.
+_SENTINEL = "\0"
+_MAY_FAIL = re.compile(r"\{(?:category|variant)\}|\{[^}]*\0")
+
+
+def _stays_clean(value: Any, category: bool, variant: bool) -> bool:
+    """Whether every string that ``_substitute`` reaches in ``value`` keeps no
+    placeholder, whatever tokens free of braces and of _SENTINEL are put in."""
+    if isinstance(value, str):
+        if "{" not in value:
+            return True
+        if category:
+            value = value.replace(CATEGORY_PLACEHOLDER, _SENTINEL)
+        if variant:
+            value = value.replace(VARIANT_PLACEHOLDER, _SENTINEL)
+        return _MAY_FAIL.search(value) is None
+    # At least as many frames a level as _substitute takes: where this ends
+    # without a RecursionError, so does the walk.
+    if isinstance(value, list):
+        return all(_stays_clean(v, category, variant) for v in value)
+    if isinstance(value, dict):
+        return all(_stays_clean(v, category, variant) for v in value.values())
+    return True
+
+
+def expand_ids(entry: MeasureEntry, expand: Callable[[MeasureEntry], list[MeasureEntry]]) -> list[str]:
+    """The ids of ``expand_dynamic(entry)``'s measures, or the ExpansionError it raises.
+
+    ``expand``, the caller's ``expand_dynamic`` binding, walks the entry when
+    a token holds a brace or _SENTINEL, a token may complete a placeholder or
+    the values nest too deeply to judge. No other entry fails but on its axes,
+    its id template or a duplicate id.
+    """
+    categories, variants = _axes(entry)
+    if not categories and not variants:
+        return [entry.measure_id]
+    template = entry.measure_id
+    try:
+        clean = not re.search(r"[{}\0]", "".join([*categories, *variants])) and _stays_clean(
+            [template, entry.data], bool(categories), bool(variants)
+        )
+    except RecursionError:
+        clean = False
+    if not clean:
+        return [measure.measure_id for measure in expand(entry)]
+    combinations = product(categories or [None], variants or [None])
+    ids = [_substitute(template, cat, var, template) for cat, var in combinations]
+    if len(set(ids)) < len(ids):
+        duplicate = next(mid for n, mid in enumerate(ids) if mid in ids[:n])
+        raise ExpansionError(f"expansion of {template!r} duplicates id {duplicate!r}")
+    return ids
+
+
+def expand_info(info: MeasureInfoFile, expand: Callable[[MeasureEntry], list], *, ids_only=False):
     """Yield (entry, concrete measures, problem) for each entry of ``info``, in file order.
 
-    ``expand`` is called once per entry. The measures are None when it raises
-    ExpansionError, whose text is then the problem; an entry that expands has
-    a problem when an earlier entry took one of its ids. A failed entry's ids
-    count as taken: its own id, or all its concrete ids when it collided.
+    ``expand`` is called once per entry; with ``ids_only`` it gives the
+    concrete ids alone, which are yielded in place of the measures. The
+    measures are None when it raises ExpansionError, whose text is then the
+    problem; an entry that expands has a problem when an earlier entry took
+    one of its ids. A failed entry's ids count as taken: its own id, or all
+    its concrete ids when it collided.
     Callers pass their own ``expand_dynamic`` binding, which a tracer or a
     call count may replace by name.
     """
@@ -161,7 +226,7 @@ def expand_info(info: MeasureInfoFile, expand: Callable[[MeasureEntry], list[Mea
             taken.add(entry.measure_id)
             yield entry, None, str(exc)
             continue
-        ids = [measure.measure_id for measure in concrete]
+        ids = concrete if ids_only else [measure.measure_id for measure in concrete]
         clash = next((mid for mid in ids if mid in taken), None)
         taken.update(ids)
         if clash is None:

@@ -321,14 +321,30 @@ def _measure_page(
     return _page(title, body)
 
 
+_INDEX_HEAD = _page("Data dictionary", "  <h1>Data dictionary</h1>\n").partition("</body>")[0]
+_OWNED_PAGE = re.compile(r'<li><a href="((?:measures|categories)/[a-z0-9._-]+\.html)">')
+
+
+def _owned_pages(index: Path) -> set[str]:
+    """The measure and category pages linked by the dictionary index at ``index``, if any."""
+    try:
+        text = index.read_text("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return set()
+    return set(_OWNED_PAGE.findall(text)) if text.startswith(_INDEX_HEAD) else set()
+
+
 def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
     """Render the static data dictionary: measure pages, category pages, index.
 
     Returns the filenames written: measure pages, then category pages, then
     ``index.html``. Measure pages are named by id and category pages by
-    category, each by ``_page_name`` from one set of names.
+    category, each by ``_page_name`` from one set of names. Once all are
+    written, the pages that the previous index linked and this run did not
+    write are removed; no other file is.
     """
     out = Path(outdir)
+    previous = _owned_pages(out / "index.html")
 
     # An entry that fails to expand, or collides with an earlier entry of its
     # file, keeps its raw form, marked on its page. Citations resolve against
@@ -384,6 +400,9 @@ def render_dictionary(snapshot: RepoSnapshot, outdir: str | Path) -> list[str]:
     )
     write_atomic(out / "index.html", (_page("Data dictionary", index_body),))
     written.append("index.html")
+    for name in previous.difference(written):
+        if not (out / name).is_dir():
+            (out / name).unlink(missing_ok=True)
     return written
 
 

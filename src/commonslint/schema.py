@@ -50,7 +50,7 @@ REFERENCES_KEY = "_references"
 
 def is_blank(value: object) -> bool:
     """Present-but-empty: null, empty string, empty list or empty object."""
-    return value is None or value == "" or value == [] or value == {}
+    return value is None or value == "" or (not value and isinstance(value, (list, dict)))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from commonslint.checks import (
     CHECK_NAMES,
     CHECK_ORDER,
+    CHECKS,
     CheckItem,
+    _Run,
     format_percentage,
     run_suite,
 )
@@ -22,11 +25,12 @@ from commonslint.cli import main
 from commonslint.config import default_config, parse_config
 from commonslint.errors import ConfigError, DomainError, ExpansionError
 from commonslint.expansion import expand_file
-from commonslint.scanner import parse_data_table, scan_repo
+from commonslint.scanner import ParseFailure, parse_data_table, scan_repo
 from commonslint.schema import CORE_ELEMENTS
 from repo_fixtures import (
     ABSENT,
     LONG_NAME_101,
+    build_planted_repo,
     clean_entry,
     flagged_items,
     oracle_payload,
@@ -73,6 +77,67 @@ def test_check_item_closed_vocabulary():
         CheckItem(path="x", verdict="dubious")
     with pytest.raises(ValueError, match="detail"):
         CheckItem(path="x", verdict="invalid")
+
+
+def test_check_item_keeps_its_dataclass_contract():
+    # CheckItem is public: its fields, value semantics and immutability are
+    # part of the API, whatever its constructor does inside.
+    assert [(f.name, f.default) for f in dataclasses.fields(CheckItem)] == [
+        ("path", dataclasses.MISSING),
+        ("verdict", dataclasses.MISSING),
+        ("key", None),
+        ("detail", ""),
+    ]
+    item = CheckItem("a/b.csv", "invalid", "m", "bad")
+    assert item == CheckItem(path="a/b.csv", verdict="invalid", key="m", detail="bad")
+    assert item != CheckItem("a/b.csv", "invalid", "m", "worse")
+    assert item != ("a/b.csv", "invalid", "m", "bad")
+    assert hash(item) == hash(CheckItem("a/b.csv", "invalid", "m", "bad"))
+    assert len({item, CheckItem("a/b.csv", "invalid", "m", "bad"), CheckItem("x", "valid")}) == 2
+    assert repr(item) == "CheckItem(path='a/b.csv', verdict='invalid', key='m', detail='bad')"
+    assert repr(CheckItem("x", "valid")) == "CheckItem(path='x', verdict='valid', key=None, detail='')"
+    assert dataclasses.asdict(item) == {
+        "path": "a/b.csv", "verdict": "invalid", "key": "m", "detail": "bad",
+    }
+    assert dataclasses.astuple(item) == ("a/b.csv", "invalid", "m", "bad")
+    assert dataclasses.replace(item, verdict="valid", detail="") == CheckItem("a/b.csv", "valid", "m")
+    with pytest.raises(ValueError, match="missing item for a/b.csv needs a detail"):
+        dataclasses.replace(item, verdict="missing", detail="")
+    for name in ("path", "verdict", "key", "detail", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(item, name, "x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del item.path
+    assert item == CheckItem("a/b.csv", "invalid", "m", "bad")
+    with pytest.raises(TypeError):
+        CheckItem("x")
+    with pytest.raises(TypeError):
+        CheckItem("x", "valid", None, "", "extra")
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        # The verdict is judged before the detail, each with its own message.
+        (("p", "dubious"), "unknown verdict: 'dubious'"),
+        (("p", "dubious", None, ""), "unknown verdict: 'dubious'"),
+        (("p", 3), "unknown verdict: 3"),
+        (("d/t.csv", "invalid"), "invalid item for d/t.csv needs a detail"),
+        (("d/t.csv", "missing", "k"), "missing item for d/t.csv needs a detail"),
+        (("d/t.csv", "extra", "k", ""), "extra item for d/t.csv needs a detail"),
+        (("d/t.csv", "error", None, None), "error item for d/t.csv needs a detail"),
+    ],
+)
+def test_check_item_validation_messages(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        CheckItem(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("verdict", ["valid", "skipped"])
+def test_check_item_detail_optional_for_passing_verdicts(verdict):
+    assert CheckItem("p", verdict).detail == ""
+    assert CheckItem("p", verdict, detail="why").detail == "why"
 
 
 # ---------------------------------------------------------------- format_percentage
@@ -847,3 +912,112 @@ def test_suite_report_serializes(planted_repo):
     assert dataclasses.asdict(suite.reports[0].items[0]).keys() == {
         "path", "verdict", "key", "detail",
     }
+
+
+# ---------------------------------------------------------------- runner oracle
+# The runner's own rules, written again from the README: a check's items are
+# those of the subjects in its include/exclude scope (for a repo check, the
+# items whose path is in scope), a subject that failed to parse gives one
+# error item, a check passes when every item is valid or skipped, dev and
+# strict move only the enforced and warn tiers, and the run passes when every
+# enforced check passes. Checks run alone give the items of the full run.
+
+
+@pytest.fixture(scope="module")
+def runner_snapshot(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runner") / "repo"
+    build_planted_repo(root)
+    (root / "d6_broken" / "data").mkdir(parents=True)
+    (root / "d6_broken" / "data" / "ragged.csv").write_text("a,b\n1,2,3\n", encoding="utf-8")
+    (root / "d6_broken" / "data" / "measure_info.json").write_text('{"m":', encoding="utf-8")
+    snapshot = scan_repo(root, CONFIG)
+    assert any(isinstance(t, ParseFailure) for t in snapshot.data_tables)
+    assert any(isinstance(i, ParseFailure) for i in snapshot.measure_info_files)
+    return snapshot
+
+
+_PATTERNS = st.sampled_from(
+    ["*", "d0_clean/*", "d[0-2]*", "*.csv", "*.json", "*/distribution/*", "assets/*", "d6*", "none"]
+)
+_SETTINGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "enforcement": st.sampled_from(["enforced", "warn", "off"]),
+        "include": st.lists(_PATTERNS, min_size=1, max_size=2),
+        "exclude": st.lists(_PATTERNS, min_size=1, max_size=2),
+    },
+)
+
+
+def _in_scope(path: str, settings: dict) -> bool:
+    include, exclude = settings.get("include", []), settings.get("exclude", [])
+    if include and not any(fnmatch(path, pattern) for pattern in include):
+        return False
+    return not any(fnmatch(path, pattern) for pattern in exclude)
+
+
+def _oracle_items(check, snapshot, config, settings: dict) -> list[CheckItem]:
+    run = _Run(snapshot, config)
+    if check.subject == "repo":
+        return [item for item in check.visit(snapshot, run) if _in_scope(item.path, settings)]
+    subjects = {
+        "table": snapshot.data_tables, "info": snapshot.measure_info_files, "file": snapshot.files,
+    }[check.subject]
+    items: list[CheckItem] = []
+    for subject in subjects:
+        if not _in_scope(subject.path, settings):
+            continue
+        if isinstance(subject, ParseFailure):
+            noun = "table" if check.subject == "table" else "file"
+            detail = f"{noun} could not be parsed: {subject.message}"
+            items.append(CheckItem(subject.path, "error", detail=detail))
+        else:
+            items.extend(check.visit(subject, run))
+    return items
+
+
+def _oracle_tier(check_id: str, settings: dict, dev: bool, strict: bool) -> str:
+    tier = settings.get("enforcement", "warn" if check_id == "T10" else "enforced")
+    if dev and tier == "enforced":
+        return "warn"
+    if strict and tier == "warn":
+        return "enforced"
+    return tier
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    configured=st.dictionaries(st.sampled_from(CHECK_ORDER), _SETTINGS, max_size=5),
+    mode=st.sampled_from([(False, False), (True, False), (False, True)]),
+    selected=st.none() | st.sets(st.sampled_from(CHECK_ORDER), min_size=1, max_size=3),
+)
+@example(configured={"T11": {"include": ["d0_clean/*"]}}, mode=(False, False), selected=None)
+@example(configured={"T5": {"exclude": ["d0_clean/*"]}, "T6": {"exclude": ["d6*"]}},
+         mode=(False, False), selected=None)
+@example(configured={"T13": {"enforcement": "off"}, "T10": {}}, mode=(False, True), selected=None)
+# In scope, T10 holds only skipped items: it passes, and strict mode gates on it.
+@example(configured={"T10": {"include": ["d0_clean/*"]}}, mode=(False, True), selected={"T10"})
+def test_run_suite_matches_the_runner_oracle(runner_snapshot, configured, mode, selected):
+    dev, strict = mode
+    config = parse_config({"checks": configured})
+    suite = run_suite(runner_snapshot, config, selected, dev=dev, strict=strict)
+    chosen = [check for check in CHECKS if selected is None or check.id in selected]
+    assert [report.check for report in suite.reports] == chosen
+
+    enforcement = {}
+    for check, report in zip(chosen, suite.reports):
+        settings = configured.get(check.id, {})
+        items = _oracle_items(check, runner_snapshot, config, settings)
+        assert list(report.items) == items
+        assert report.passed == all(item.verdict in ("valid", "skipped") for item in items)
+        enforcement[check.id] = _oracle_tier(check.id, settings, dev, strict)
+    assert suite.enforcement == enforcement
+    assert suite.overall_pass == all(
+        report.passed for report in suite.reports if enforcement[report.check.id] == "enforced"
+    )
+    # Each check run alone gives the report it gives in the full run.
+    full = run_suite(runner_snapshot, config, dev=dev, strict=strict)
+    by_id = {report.check.id: report for report in full.reports}
+    for report in suite.reports:
+        assert report == by_id[report.check.id]
+

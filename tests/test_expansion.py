@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commonslint.errors import ExpansionError
-from commonslint.expansion import _echo, expand_dynamic, expand_file, parse_axis
+from commonslint.expansion import _echo, expand_dynamic, expand_file, expand_ids, parse_axis
 from commonslint.metadata import MeasureEntry, parse_measure_info
 
 
@@ -377,3 +377,133 @@ def _outcome(expand, entry: MeasureEntry) -> list[tuple[str, str]] | str:
 @example(MeasureEntry("m_{variant}_{category}", {"categories": ["a"], "variants": "a"}))
 def test_expand_dynamic_matches_the_two_walk_reference(entry):
     assert _outcome(expand_dynamic, entry) == _outcome(_reference_expand, entry)
+
+
+# ---------------------------------------------------------------- ids path
+# expand_ids must give expand_dynamic's ids, or its error text, for every
+# entry: where it judges the strings once per entry and where it falls back.
+
+# Strings in which a token completes a placeholder across a join, foreign
+# templates, strings holding the sentinel NUL, and braces left open.
+_ID_TEXT = st.sampled_from(
+    ["a", "{category}", "{variant}"] * 4
+    + [
+        "", "{", "}", "{variant} of {category}",
+        "{{category}ategory}", "{v{category}t}", "{cat{variant}egory}", "{{variant}}",
+        "{value} of households in {region.name}.", "{x}", "{category", "\0", "{\0}",
+        "a\0{category}", "{ {category} }", "{category}variant}", "{category{variant}",
+    ]
+)
+# Most tokens hold no brace and no NUL, so most entries are judged without the walk.
+_ID_TOKENS = st.sampled_from(["a", "b", "c", "arian", "ategory", "", "a_b"] * 3 + ["{", "}", "{x}", "\0", "a\0"])
+_ID_LEAVES = st.none() | st.integers(0, 2) | _ID_TEXT
+_ID_FLAT = _ID_LEAVES | st.lists(_ID_LEAVES, max_size=2) | st.dictionaries(_ID_TEXT, _ID_LEAVES, max_size=2)
+_ID_VALUES = _ID_FLAT | st.lists(_ID_FLAT, max_size=2)
+_ID_OVERRIDES = st.dictionaries(_ELEMENTS, _ID_VALUES, min_size=1, max_size=2) | st.none()
+_ID_AXES = (
+    st.dictionaries(_ID_TOKENS, _ID_OVERRIDES, min_size=1, max_size=3)
+    | st.lists(_ID_TOKENS, min_size=1, max_size=3)
+    | st.none()
+)
+
+
+# A text and a token of one axis that complete a placeholder once joined.
+_JOINS = st.sampled_from(
+    [
+        ("{{category}ategory}", "categories", "c"),
+        ("{v{category}t}", "categories", "arian"),
+        ("{cat{variant}egory}", "variants", ""),
+        ("x {{variant}ariant} {category}", "variants", "v"),
+    ]
+)
+
+
+@st.composite
+def _id_entries(draw) -> MeasureEntry:
+    data = dict(draw(st.lists(st.tuples(_ELEMENTS, _ID_VALUES), max_size=3)))
+    for axis in ("categories", "variants"):
+        raw = draw(_ID_AXES)
+        if raw is not None or draw(st.booleans()):
+            data[axis] = raw
+    join = draw(st.none() | _JOINS)
+    if join is not None:
+        text, axis, token = join
+        data[draw(_ELEMENTS)] = [draw(_ID_VALUES), text]
+        data[axis] = [token, *(t for t in data.get(axis) or () if isinstance(t, str) and t != token)]
+    template = "m" + "_{category}" * bool(data.get("categories")) + "_{variant}" * bool(data.get("variants"))
+    return MeasureEntry(draw(st.just(template) | _ID_TEXT.map(template.__add__)), data)
+
+
+def _ids_outcome(expand, entry: MeasureEntry) -> list[str] | str:
+    try:
+        return expand(entry)
+    except ExpansionError as exc:
+        return str(exc)
+
+
+def _full_ids(entry: MeasureEntry) -> list[str]:
+    return [measure.measure_id for measure in expand_dynamic(entry)]
+
+
+def _judged_ids(entry: MeasureEntry) -> list[str]:
+    return expand_ids(entry, expand_dynamic)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_id_entries())
+@example(MeasureEntry("m_{category}", {"unit": "{{category}ategory}", "categories": ["c"]}))
+@example(MeasureEntry("m_{category}", {"unit": "{v{category}t}", "categories": ["arian"]}))
+@example(MeasureEntry("m_{variant}", {"unit": "{cat{variant}egory}", "variants": [""]}))
+@example(MeasureEntry("m_{category}", {"unit": ["x", {"k": "{variant}"}], "categories": ["a"]}))
+@example(MeasureEntry("m_{category}", {"unit": "{\0}", "categories": ["a"]}))
+@example(MeasureEntry("m_{category}", {"categories": ["{", "}"]}))
+@example(MeasureEntry("m_{category}", {"unit": "{category}variant}", "categories": ["{"]}))
+@example(MeasureEntry("m_{variant}", {"unit": "{category{variant}", "variants": ["}"]}))
+@example(MeasureEntry("m_{category}", {"categories": ["a\0", "b"]}))
+@example(MeasureEntry("m_{category}_{variant}", {"categories": ["a_b", "a"], "variants": ["c", "b_c"]}))
+@example(
+    MeasureEntry(
+        "m_{category}_{variant}",
+        {
+            "statement": "{value} of {category} in {region.name}.",
+            "categories": {"a": {"unit": "{v{category}t}"}, "arian": None},
+            "variants": {"x": {"long_name": "{variant} {category}"}, "y": {}},
+        },
+    )
+)
+def test_expand_ids_matches_expand_dynamic(entry):
+    assert _ids_outcome(_judged_ids, entry) == _ids_outcome(_full_ids, entry)
+
+
+def test_the_generated_statement_takes_the_ids_path():
+    # "{value}" and "{region.name}" are no placeholders, so an entry built
+    # like the generated ones is judged without its full walk.
+    entry = MeasureEntry(
+        "m_{category}_{variant}",
+        {
+            "statement": "{value} of households in {region.name}.",
+            "sources": [{"name": "Survey of {category}"}],
+            "categories": ["naics11", "naics21"],
+            "variants": {"rate": {"long_name": "{variant} of {category}"}},
+        },
+    )
+
+    def refused(_):
+        raise AssertionError("full walk")
+
+    assert expand_ids(entry, refused) == _full_ids(entry)
+
+
+@pytest.mark.parametrize("depth", [50, 5000])
+@pytest.mark.parametrize("where", ["base", "override"])
+def test_expand_ids_on_entries_nested_in_code(depth, where):
+    # Built in code, a value may nest deeper than either walk can go.
+    data: dict = {"categories": ["a", "b"]}
+    if where == "base":
+        data["statement"] = _nested(depth)
+    else:
+        data["categories"] = {"a": {"statement": _nested(depth)}, "b": None}
+    entry = MeasureEntry("m_{category}", data)
+    assert _ids_outcome(_judged_ids, entry) == _ids_outcome(_full_ids, entry)
+    if depth == 5000:
+        assert _ids_outcome(_judged_ids, entry) == "dynamic entry 'm_{category}' nested too deeply"

@@ -390,24 +390,39 @@ def test_dictionary_sources_take_a_single_object_as_one(tmp_path):
 
 def test_suite_and_dictionary_expand_each_entry_once(planted_repo, tmp_path, monkeypatch):
     root, _ = planted_repo
+    # Entries whose strings the ids path cannot judge alone: a placeholder of
+    # an absent axis, one that a token completes, and a token with a brace.
+    fallback = {
+        "fb_{category}": clean_entry("fb", categories=["a"], unit="{variant}"),
+        "fc_{category}": clean_entry("fc", categories=["arian"], unit="{v{category}t}"),
+        "fd_{category}": clean_entry("fd", categories=["{x"]),
+    }
+    write_info(root / "fallback" / "measure_info.json", fallback)
     snapshot = scan_repo(root, CONFIG)
-    expand = checks.expand_dynamic
-    calls = []
+    calls: dict[str, list] = {"ids": [], "checks": [], "reports": []}
 
-    def counting(entry):
-        calls.append(entry)
-        return expand(entry)
+    def counting(name, call):
+        def counted(entry, *args, **kwargs):
+            calls[name].append(entry)
+            return call(entry, *args, **kwargs)
 
-    monkeypatch.setattr(checks, "expand_dynamic", counting)
-    monkeypatch.setattr(reports, "expand_dynamic", counting)
+        return counted
+
+    monkeypatch.setattr(checks, "expand_ids", counting("ids", checks.expand_ids))
+    monkeypatch.setattr(checks, "expand_dynamic", counting("checks", checks.expand_dynamic))
+    monkeypatch.setattr(reports, "expand_dynamic", counting("reports", reports.expand_dynamic))
     entries = [entry for info in snapshot.parsed_measure_infos for entry in info]
-    assert len(entries) > 1
+    assert len(entries) > len(fallback) + 1
 
     run_suite(snapshot, CONFIG)
-    assert calls == entries
-    calls.clear()
+    # T5 and T14 share one ids-path call per entry; only the entries it
+    # cannot judge alone take the full walk, through checks' own binding.
+    assert calls["ids"] == entries
+    assert [entry.measure_id for entry in calls["checks"]] == list(fallback)
+    assert calls["reports"] == []
     render_dictionary(snapshot, tmp_path / "dict")
-    assert calls == entries
+    assert calls["reports"] == entries
+    assert len(calls["ids"]) == len(entries)
 
 
 def test_dictionary_measure_page_fields(tmp_path):
@@ -489,51 +504,86 @@ _INFOS = st.lists(
 )
 
 
+def _dictionary_matches_its_input(tmp: Path, repo: Path, out: Path, infos) -> None:
+    """Run ``dict`` from ``infos`` into ``out`` and check the tree it leaves."""
+    expected = []
+    for n, categories in enumerate(infos):
+        write_info(repo / str(n) / "measure_info.json",
+                   {mid: {"category": category} for mid, category in categories.items()})
+        expected += [(mid, f"{n}/measure_info.json", str(category or "uncategorized"))
+                     for mid, category in categories.items()]
+
+    written = []
+
+    def recording(*args):
+        written[:] = reports.render_dictionary(*args)
+        return written
+
+    with mock.patch.object(cli, "render_dictionary", recording), contextlib.redirect_stdout(
+        io.StringIO()
+    ) as stdout:
+        assert cli.main(["dict", "--repo", str(repo), "--out", str(out)]) == 0
+
+    files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert sorted(written) == files
+    measures = [name for name in files if name.startswith("measures/")]
+    categories = [name for name in files if name.startswith("categories/")]
+    assert f"({len(measures)} measures, {len(categories)} categories)" in stdout.getvalue()
+
+    # Each entry of each file has one page, linked from the index and
+    # from the page the index gives its category.
+    index = links_in(out / "index.html")
+    category_file = {text: href for href, text in index if href.startswith("categories/")}
+    assert sorted(category_file.values()) == categories
+    shown = []
+    for measure_id, filename in measure_pages(out, measures):
+        page = (out / filename).read_text("utf-8")
+        source = page.partition("Defined in: <code>")[2].partition("</code>")[0]
+        (category,) = [c for mid, src, c in expected if (mid, src) == (measure_id, source)]
+        shown.append((measure_id, source, category))
+        assert (filename, measure_id) in index
+        assert ("../" + filename, measure_id) in links_in(out / category_file[category])
+    assert sorted(shown) == sorted(expected)
+
+
 @settings(max_examples=15, deadline=None)
-@given(infos=_INFOS)
-@example(infos=[{"m1": "Health Care", "m2": "health-care"}])
-def test_dictionary_gives_every_measure_one_linked_page(infos):
+@given(infos=_INFOS, later=_INFOS)
+@example(infos=[{"m1": "Health Care", "m2": "health-care"}], later=[{"m1": "Health Care"}])
+# A measure and the only member of its category removed: both pages go.
+@example(infos=[{"m1": "Health Care", "m4": "gone"}], later=[{"m1": "Health Care"}])
+def test_dictionary_gives_every_measure_one_linked_page(infos, later):
+    # The second run goes into the same directory from a changed set: no
+    # page outlives its measure or its category.
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        expected = []
-        for n, categories in enumerate(infos):
-            write_info(tmp / "repo" / str(n) / "measure_info.json",
-                       {mid: {"category": category} for mid, category in categories.items()})
-            expected += [(mid, f"{n}/measure_info.json", str(category or "uncategorized"))
-                         for mid, category in categories.items()]
+        _dictionary_matches_its_input(tmp, tmp / "repo", tmp / "dict", infos)
+        _dictionary_matches_its_input(tmp, tmp / "later", tmp / "dict", later)
 
-        written = []
 
-        def recording(*args):
-            written[:] = reports.render_dictionary(*args)
-            return written
-
-        out = tmp / "dict"
-        with mock.patch.object(cli, "render_dictionary", recording), contextlib.redirect_stdout(
-            io.StringIO()
-        ) as stdout:
-            assert cli.main(["dict", "--repo", str(tmp / "repo"), "--out", str(out)]) == 0
-
-        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-        assert sorted(written) == files
-        measures = [name for name in files if name.startswith("measures/")]
-        categories = [name for name in files if name.startswith("categories/")]
-        assert f"({len(measures)} measures, {len(categories)} categories)" in stdout.getvalue()
-
-        # Each entry of each file has one page, linked from the index and
-        # from the page the index gives its category.
-        index = links_in(out / "index.html")
-        category_file = {text: href for href, text in index if href.startswith("categories/")}
-        assert sorted(category_file.values()) == categories
-        shown = []
-        for measure_id, filename in measure_pages(out, measures):
-            page = (out / filename).read_text("utf-8")
-            source = page.partition("Defined in: <code>")[2].partition("</code>")[0]
-            (category,) = [c for mid, src, c in expected if (mid, src) == (measure_id, source)]
-            shown.append((measure_id, source, category))
-            assert (filename, measure_id) in index
-            assert ("../" + filename, measure_id) in links_in(out / category_file[category])
-        assert sorted(shown) == sorted(expected)
+def test_dictionary_removes_only_pages_its_previous_index_linked(tmp_path):
+    out = tmp_path / "out"
+    for name in ("measures/mine.html", "categories/mine.html", "notes.html", "measures/keep.html"):
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text("x", encoding="utf-8")
+    # An index that is not a dictionary's links pages that are not removed.
+    (out / "index.html").write_text(
+        '<html><li><a href="measures/mine.html">mine</a></li></html>', encoding="utf-8"
+    )
+    (tmp_path / "repo").mkdir()
+    render_dictionary(scan_repo(tmp_path / "repo", CONFIG), out)
+    assert (out / "measures" / "mine.html").exists()
+    # The dictionary's own index: its links go, and only they.
+    (out / "index.html").write_text(
+        reports._INDEX_HEAD
+        + '    <li><a href="measures/mine.html">mine</a></li>\n'
+        + '    <li><a href="categories/mine.html">mine</a></li>\n'
+        + '    <li><a href="../notes.html">up</a></li>\n'
+        + '    <li><a href="measures/../notes.html">up</a></li>\n',
+        encoding="utf-8",
+    )
+    render_dictionary(scan_repo(tmp_path / "repo", CONFIG), out)
+    left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert left == ["index.html", "measures/keep.html", "notes.html"]
 
 
 # Entries whose expansions collide with each other ("m_a" and "m_{category}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commonslint.config import RepoConfig, default_config, parse_config
 from commonslint.metadata import MeasureEntry
@@ -89,6 +90,30 @@ def test_is_blank_forms(value):
 @pytest.mark.parametrize("value", [0, False, "x", [0], {"a": 1}])
 def test_is_blank_rejects_substantive_values(value):
     assert not is_blank(value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["", " ", "0", "x"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_JSON_VALUES)
+@example(0)
+@example(0.0)
+@example(-0.0)
+@example(False)
+@example(True)
+@example("0")
+@example(" ")
+@example([[]])
+@example({"": {}})
+@example([None])
+@example(float("nan"))
+def test_is_blank_matches_the_equality_reference(value):
+    assert is_blank(value) == (value is None or value == "" or value == [] or value == {})
 
 
 def test_char_limits_inclusive_boundaries():
