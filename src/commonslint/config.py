@@ -124,6 +124,13 @@ def _section(raw: dict, name: str, known: tuple[str, ...]) -> dict:
     return section
 
 
+def _reject_holding(entries: tuple[str, ...], char: str, key: str, what: str) -> None:
+    """Raise a ConfigError for the first entry holding ``char``: it could never match."""
+    for entry in entries:
+        if char in entry:
+            raise ConfigError(f"{key} entry {entry!r} holds {char!r}; each entry is {what} alone")
+
+
 def _positive_int(value, key: str) -> int:
     # bool is an int subclass; `filename_limit: yes` is a mistake, not 1.
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -212,15 +219,19 @@ def parse_config(raw: dict, *, base_dir: Path | None = None) -> RepoConfig:
         except re.error as exc:
             raise ConfigError(f"naming.pattern is not a valid regular expression: {exc}") from exc
     if "extensions" in naming:
-        kwargs["allowed_extensions"] = frozenset(
-            _as_str_tuple(naming["extensions"], "naming.extensions")
-        )
+        # T11 compares the lower-cased text after a name's last dot.
+        extensions = _as_str_tuple(naming["extensions"], "naming.extensions")
+        _reject_holding(extensions, ".", "naming.extensions", "an extension")
+        kwargs["allowed_extensions"] = frozenset(ext.lower() for ext in extensions)
     if "filename_limit" in raw:
         kwargs["filename_limit"] = _positive_int(raw["filename_limit"], "filename_limit")
     if "fraction_min_rows" in raw:
         kwargs["fraction_min_rows"] = _positive_int(raw["fraction_min_rows"], "fraction_min_rows")
     if "ignore_dirs" in raw:
-        kwargs["ignore_dirs"] = frozenset(_as_str_tuple(raw["ignore_dirs"], "ignore_dirs"))
+        # The walk compares each directory's own name, never a path.
+        ignore_dirs = _as_str_tuple(raw["ignore_dirs"], "ignore_dirs")
+        _reject_holding(ignore_dirs, "/", "ignore_dirs", "a directory name")
+        kwargs["ignore_dirs"] = frozenset(ignore_dirs)
     for key in ("allowed_keys", "expected_keys"):
         if schema.get(key) is not None:
             kwargs[key] = frozenset(_as_str_tuple(schema[key], f"schema.{key}"))

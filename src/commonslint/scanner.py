@@ -7,8 +7,7 @@ accessed and keep the result, so a command reads only the files it uses,
 and each of them once. A data table is read in one streaming pass that
 keeps no rows, only what the checks need. Parsing is lenient: failures are
 recorded in the view rather than raised, so a single bad file never aborts
-a suite run. When there are enough table bytes to pay for it, the tables
-are parsed by this process and forked children together (``_parse_tables``).
+a suite run. Every table is parsed in the calling process.
 
 A snapshot scanned with ``cache_tables=True``, as ``commonslint check``
 scans, takes its tables through the table cache (``table_cache``) when
@@ -26,7 +25,6 @@ import io
 import lzma
 import math
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -41,13 +39,6 @@ _TABULAR_EXTENSIONS = {".csv"}
 _COMPRESSION_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 # Extensions of the non-metadata files that get a JSON syntax verdict (T8).
 _JSON_EXTENSIONS = frozenset({"json", "geojson"})
-# Table bytes on disk below which the tables are parsed in this process
-# alone. On a 2-CPU host a forked child took about 4 ms from fork to reaped
-# results, and the parse ran at 11-17 MB of on-disk bytes per second, so a
-# MiB split in two saves 30-45 ms. Smaller table sets are mostly small files
-# to open, which slows down in both processes: 0.6 MB in 400 tables gained
-# nothing from a split.
-_SPLIT_MIN_BYTES = 1 << 20
 # Table bytes on disk below which a cached snapshot parses its tables as an
 # uncached one does, never touching the cache. A warm run still opens and
 # hashes every table and loads the cache file: on 0.6 MB in 404 tables that
@@ -188,12 +179,11 @@ class RepoSnapshot:
     def data_tables(self) -> tuple[DataTable | ParseFailure, ...]:
         """Each tabular file, parsed, or the failure that stopped its parse."""
         jobs = list(self._paths_of_kind("tabular_data"))
-        sizes = _sizes_on_disk(jobs)
-        if self.cache_tables and sum(sizes) >= _CACHE_MIN_BYTES:
+        if self.cache_tables and _bytes_on_disk(jobs) >= _CACHE_MIN_BYTES:
             from .table_cache import cached_tables  # only here is hashlib loaded
 
-            return tuple(cached_tables(Path(self.root), jobs, sizes))
-        return tuple(_parse_tables(jobs, sizes))
+            return tuple(cached_tables(Path(self.root), jobs))
+        return tuple(_parse_table(*job) for job in jobs)
 
     @cached_property
     def json_syntax(self) -> dict[str, str | None]:
@@ -379,140 +369,18 @@ def _parse_table(full: Path, rel: str) -> DataTable | ParseFailure:
         return ParseFailure(path=rel, message=str(exc), stage="csv")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _bytes_on_disk(jobs: list[tuple[Path, str]]) -> int:
+    """The jobs' bytes on disk, from ``os.stat``, for the table cache's gate.
 
-
-def _sizes_on_disk(jobs: list[tuple[Path, str]]) -> list[int]:
-    """Each job's bytes on disk, from ``os.stat``.
-
-    They decide whether the table cache is used and how ``_shares`` splits.
     A file that cannot be stat'ed counts as 0; its parse reports it.
     """
-    sizes = []
+    total = 0
     for full, _ in jobs:
         try:
-            sizes.append(os.stat(full).st_size)
+            total += os.stat(full).st_size
         except OSError:
-            sizes.append(0)
-    return sizes
-
-
-def _shares(sizes: list[int]) -> list[list[int]]:
-    """The job indices each process parses, this process's share first.
-
-    ``sizes`` holds each job's bytes on disk. One share holding every job
-    unless a split can pay: ``os.fork`` exists, this process may run on two
-    CPUs or more, no other thread is alive (a fork copies only the calling
-    thread, and any lock another thread holds stays held in the child),
-    there are two tables or more and their bytes reach ``_SPLIT_MIN_BYTES``.
-    Then there is one share per CPU, up to one per table, balanced by size:
-    largest table first, each to the share with the fewest bytes so far
-    (then the fewest tables).
-    """
-    everything = [list(range(len(sizes)))]
-    if not hasattr(os, "fork") or len(sizes) < 2 or threading.active_count() > 1:
-        return everything
-    count = min(_usable_cpus(), len(sizes))
-    if count < 2 or sum(sizes) < _SPLIT_MIN_BYTES:
-        return everything
-    import heapq  # here, like the split's other imports: start-up does not pay for them
-
-    shares: list[list[int]] = [[] for _ in range(count)]
-    loads = [(0, 0, n) for n in range(count)]
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        load, tables, n = heapq.heappop(loads)
-        shares[n].append(i)
-        heapq.heappush(loads, (load + sizes[i], tables + 1, n))
-    return shares
-
-
-def _parse_tables(
-    jobs: list[tuple[Path, str]], sizes: list[int]
-) -> list[DataTable | ParseFailure]:
-    """Parse each (full path, repo path) job; the results are in job order.
-
-    ``sizes`` holds each job's bytes on disk, for ``_shares``. When it
-    splits the jobs, one child is forked per extra share and sends back its
-    results as a pickle over its own pipe while this process parses the
-    first share. The results are equal to a parse of
-    every job here, in order. A child that cannot be forked, exits non-zero,
-    is killed or sends a short read has its share parsed here, so an
-    exception raised by a parse surfaces from this process. If this process
-    raises meanwhile, every child still running is killed and reaped.
-    """
-    shares = _shares(sizes)
-    if len(shares) == 1:
-        return [_parse_table(*job) for job in jobs]
-    import pickle
-    import signal
-
-    results: list = [None] * len(jobs)
-    mine = shares[0]
-    children: dict[int, tuple[int, list[int]]] = {}
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                mine += share
-                continue
-            if pid == 0:
-                _child(jobs, share, write_fd)
-            os.close(write_fd)
-            children[pid] = (read_fd, share)
-        for i in mine:
-            results[i] = _parse_table(*jobs[i])
-        for pid, (read_fd, share) in list(children.items()):
-            chunks = []
-            while chunk := os.read(read_fd, 1 << 16):
-                chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            os.close(read_fd)
-            parsed = None
-            if status == 0:
-                try:
-                    parsed = pickle.loads(b"".join(chunks))
-                except (pickle.UnpicklingError, EOFError):
-                    pass
-            if parsed is None:
-                parsed = [_parse_table(*jobs[i]) for i in share]
-            for i, table in zip(share, parsed):
-                results[i] = table
-    finally:
-        for pid, (read_fd, _) in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    return results
-
-
-def _child(jobs: list[tuple[Path, str]], share: list[int], write_fd: int) -> None:
-    """In a forked child: parse ``share``, write the pickled results, and exit.
-
-    Never returns: ``os._exit`` skips the caller's code, ``atexit`` handlers
-    and the flush of buffers inherited from the parent. Exit status 0 means
-    every byte was written.
-    """
-    status = 1
-    try:
-        import pickle
-
-        data = pickle.dumps([_parse_table(*jobs[i]) for i in share], pickle.HIGHEST_PROTOCOL)
-        view = memoryview(data)
-        while view:
-            view = view[os.write(write_fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
+            pass
+    return total
 
 
 def scan_repo(

@@ -4,7 +4,7 @@
 bytes on disk reach ``scanner._CACHE_MIN_BYTES``, the snapshot's
 ``data_tables`` come from ``cached_tables``. Each table file is read once,
 to hash it. A table whose key the cache holds is built from the cache and
-not parsed; the others go through ``scanner._parse_tables`` and its split.
+not parsed; the others are parsed in this process, one by one.
 
 - Key: the compression suffix ``_open_table`` decodes the file by (``.gz``,
   ``.bz2``, ``.xz`` or none), then the SHA-256 of the file's bytes on disk.
@@ -42,7 +42,7 @@ from pathlib import Path
 from .errors import ParseError
 from .metadata import decode_utf8, parse_json, reject_duplicate_keys
 from .reports import write_atomic
-from .scanner import DataTable, ParseFailure, PercentStats, TableRows, _codec, _parse_tables
+from .scanner import DataTable, ParseFailure, PercentStats, TableRows, _codec, _parse_table
 
 # The version of the entries' layout and of the parse that made them. Bump
 # it with any change to what a parse gathers, so that older caches are
@@ -56,12 +56,9 @@ _SETTLE_NS = 2_000_000_000
 _CHUNK = 1 << 20
 
 
-def cached_tables(
-    root: Path, jobs: list[tuple[Path, str]], sizes: list[int]
-) -> list[DataTable | ParseFailure]:
-    """Each (full path, repo path) job's table or failure, as ``_parse_tables`` gives it.
+def cached_tables(root: Path, jobs: list[tuple[Path, str]]) -> list[DataTable | ParseFailure]:
+    """Each (full path, repo path) job's table or failure, as ``_parse_table`` gives it.
 
-    ``sizes`` holds each job's bytes on disk, for the split of the misses.
     Only the tables the cache of ``root`` does not hold are parsed; the
     cache is then rewritten if the run's keys differ from those it held.
     """
@@ -69,26 +66,23 @@ def cached_tables(
     cached = _load(path) if path else {}
     started = time.time_ns()
     keys, stamps = zip(*(_key(full) for full, _ in jobs)) if jobs else ((), ())
-    results: list = [None] * len(jobs)
+    results: list[DataTable | ParseFailure] = []
     entries: dict[str, list] = {}
-    misses = []
-    for i, ((_, rel), key) in enumerate(zip(jobs, keys)):
+    for (full, rel), key, stamp in zip(jobs, keys, stamps):
         if key in cached:
             entries[key] = cached[key]
-            results[i] = _decode(cached[key], rel)
-        else:
-            misses.append(i)
-    parsed = _parse_tables([jobs[i] for i in misses], [sizes[i] for i in misses])
-    for i, table in zip(misses, parsed):
-        results[i] = table
+            results.append(_decode(cached[key], rel))
+            continue
+        table = _parse_table(full, rel)
+        results.append(table)
         # Kept: a table parsed from the bytes that were hashed, and settled before the hash.
         if (
             isinstance(table, DataTable)
-            and stamps[i] is not None
-            and stamps[i][2] < started - _SETTLE_NS
-            and _stamp(jobs[i][0]) == stamps[i]
+            and stamp is not None
+            and stamp[2] < started - _SETTLE_NS
+            and _stamp(full) == stamp
         ):
-            entries[keys[i]] = _encode(table)
+            entries[key] = _encode(table)
     if path and entries.keys() != cached.keys():
         _store(path, entries)
     return results

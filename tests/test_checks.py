@@ -4,10 +4,11 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal
 from fnmatch import fnmatch
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -746,6 +747,14 @@ def test_t11_extension_allowlist(tmp_path):
     assert "allowlist" in item.detail
 
 
+def test_t11_extension_entries_match_in_any_case(tmp_path):
+    (tmp_path / "a.csv").write_text("a\n", encoding="utf-8")
+    (tmp_path / "b.JSON").write_text("{}", encoding="utf-8")
+    config = parse_config({"naming": {"extensions": ["CSV", "json"], "pattern": ".+"}})
+    (t11,) = reports_for(snapshot_of(tmp_path, config), config, "T11")
+    assert [(i.path, i.verdict) for i in t11.items] == [("a.csv", "valid"), ("b.JSON", "valid")]
+
+
 def test_t12_missing_and_present_code(tmp_path):
     write_table(
         tmp_path / "ds" / "data" / "distribution" / "t.csv",
@@ -768,6 +777,78 @@ def test_t13_length_boundary(tmp_path):
     verdicts = {i.path: i.verdict for i in t13.items}
     assert verdicts["b" * 96 + ".txt"] == "valid"
     assert verdicts[LONG_NAME_101] == "invalid"
+
+
+# Extensions in mixed case, so that T11's case rule shows.
+_EXTENSIONS = st.sampled_from(["csv", "CSV", "Csv", "json", "JSON", "txt", "exe", "gz"])
+_STEMS = st.text(alphabet="abZ9_- .", max_size=6)
+
+
+@st.composite
+def _named_trees(draw):
+    """A filename_limit, and file names: with an extension, without one, dotfiles,
+    and names of exactly the limit and one past it. Each goes at the root or in sub/."""
+    limit = draw(st.integers(min_value=6, max_value=12))
+    name = st.one_of(
+        st.builds("{}.{}".format, _STEMS, _EXTENSIONS),
+        _STEMS,
+        st.builds(".{}".format, _EXTENSIONS),
+        st.builds(
+            lambda ext, over: "n" * (limit - len(ext) - 1 + over) + "." + ext,
+            _EXTENSIONS,
+            st.integers(min_value=0, max_value=1),
+        ),
+    ).filter(lambda n: n not in ("", ".", ".."))
+    names = draw(st.lists(name, unique=True, max_size=6))
+    return limit, [("sub/" if draw(st.booleans()) else "") + n for n in names]
+
+
+def _name_oracle(path: str, config) -> tuple[CheckItem, CheckItem]:
+    """T11's and T13's items for one file, from the README's rules."""
+    base = PurePosixPath(path).name
+    _, dot, after = base.rpartition(".")
+    extension = after.lower() if dot else ""
+    t11 = []
+    if re.fullmatch(config.naming_pattern, base) is None:
+        t11.append(f"name does not match pattern {config.naming_pattern}")
+    if extension not in {e.lower() for e in config.allowed_extensions}:
+        t11.append(f"extension {extension or '(none)'} not in the allowlist")
+    t13 = []
+    if len(base) > config.filename_limit:
+        t13.append(f"file name is {len(base)} characters; limit is {config.filename_limit}")
+    return tuple(
+        CheckItem(path, "invalid", detail="; ".join(problems))
+        if problems
+        else CheckItem(path, "valid")
+        for problems in (t11, t13)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=_named_trees(),
+    extensions=st.none() | st.lists(st.sampled_from(["csv", "CSV", "Json", "TXT", "gz"]), max_size=3),
+    pattern=st.sampled_from([None, r"[A-Za-z0-9._ -]*"]),
+)
+# An upper-case entry admits its lower-case files, and a file of exactly the
+# limit is valid while one past it is not.
+@example(tree=(8, ["a.csv", "b.CSV", "nnnn.csv", "nnnnn.csv"]), extensions=["CSV"], pattern=None)
+# A dotfile's extension is the text after its dot; a name with no dot has none.
+@example(tree=(8, [".csv", "sub/ab", "a.", "sub/.JSON"]), extensions=None, pattern=None)
+def test_t11_t13_match_a_name_oracle(tree, extensions, pattern):
+    limit, paths = tree
+    naming = {"extensions": extensions} if extensions is not None else {}
+    if pattern is not None:
+        naming["pattern"] = pattern
+    config = parse_config({"filename_limit": limit, "naming": naming})
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sub").mkdir()
+        for path in paths:
+            (Path(tmp) / path).write_bytes(b"")
+        t11, t13 = reports_for(scan_repo(tmp, config), config, "T11", "T13")
+    oracle = [_name_oracle(path, config) for path in sorted(paths)]
+    assert list(t11.items) == [items[0] for items in oracle]
+    assert list(t13.items) == [items[1] for items in oracle]
 
 
 # ---------------------------------------------------------------- T8

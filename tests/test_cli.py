@@ -12,7 +12,7 @@ import pytest
 from commonslint import scanner, table_cache
 from commonslint.cli import main
 from commonslint.metadata import MAX_JSON_DEPTH, load_measure_info
-from repo_fixtures import clean_entry, count_parses, settle_files, split_tables, write_info
+from repo_fixtures import clean_entry, count_parses, settle_files, write_info
 
 CHECKLIST = {
     "F1": "WorkingTowards", "F2": "WorkingTowards", "F3": "Achieving",
@@ -187,8 +187,8 @@ def test_unquoted_off_tier_reads_as_off(tmp_path, capsys):
 
 
 @pytest.fixture
-def parses(monkeypatch, tmp_path):
-    return count_parses(monkeypatch, tmp_path / "parses.log")
+def parses(monkeypatch):
+    return count_parses(monkeypatch)
 
 
 def _each_once(root, pattern: str) -> Counter:
@@ -199,18 +199,21 @@ def test_full_check_parses_each_file_once(planted_repo, tmp_path, monkeypatch, c
     root, _ = planted_repo
     settle_files(root)
     monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", 0)
-    # In-process, and split across two and three processes, each on a cold table cache.
-    for cpus in (None, 2, 3):
-        with monkeypatch.context() as patch:
-            patch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-{cpus}"))
-            parses = count_parses(patch, tmp_path / f"parses-{cpus}.log")
-            forked = split_tables(patch, cpus)
-            main(["check", "--repo", str(root), "--out", str(tmp_path / f"r-{cpus}")])
-            assert len(forked) == (cpus or 1) - 1
-        tables, infos = parses()
-        assert tables == _each_once(root, "*.csv")
-        assert infos == _each_once(root, "measure_info.json")
-        assert len(tables) == 6 and len(infos) == 6
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+    forks = []
+
+    def fork() -> int:
+        forks.append(1)
+        pytest.fail("check forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    parses = count_parses(monkeypatch)
+    main(["check", "--repo", str(root), "--out", str(tmp_path / "r")])
+    tables, infos = parses()
+    assert tables == _each_once(root, "*.csv")
+    assert infos == _each_once(root, "measure_info.json")
+    assert len(tables) == 6 and len(infos) == 6
+    assert forks == []
 
 
 def _tree(path: Path) -> dict[str, bytes]:
@@ -228,7 +231,7 @@ def test_warm_check_parses_no_table_and_writes_the_same_reports(
     runs = []
     for n in range(2):
         with monkeypatch.context() as patch:
-            parses = count_parses(patch, tmp_path / f"parses-{n}.log")
+            parses = count_parses(patch)
             code = main(["check", "--repo", str(root), "--out", str(tmp_path / f"r-{n}")])
         runs.append((code, capsys.readouterr().out.splitlines()[:-1], _tree(tmp_path / f"r-{n}")))
         tables, infos = parses()

@@ -126,6 +126,12 @@ def test_parse_config_schema_lists_and_limits():
         {"checks": {"T4": {"include": False}}},
         {"checks": {"T4": {"exclude": {}}}},
         {"naming": {"pattern": 5}},
+        # Entries that could never match: T11 compares the text after a
+        # name's last dot, and the walk compares a directory's own name.
+        {"naming": {"extensions": ["csv", ".json"]}},
+        {"naming": {"extensions": "tar.gz"}},
+        {"ignore_dirs": [".git", "data/raw"]},
+        {"ignore_dirs": "dictionary/"},
     ],
 )
 def test_parse_config_shape_errors(raw):

@@ -2,16 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import errno
 import gzip
 import json
-import lzma
 import os
-import pickle
-import signal
 import tempfile
-import threading
-import time
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path, PurePosixPath
@@ -19,7 +13,6 @@ from pathlib import Path, PurePosixPath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commonslint import scanner
 from commonslint.config import default_config
 from commonslint.errors import ParseError
 from commonslint.metadata import MeasureInfoFile
@@ -31,7 +24,7 @@ from commonslint.scanner import (
     parse_data_table,
     scan_repo,
 )
-from repo_fixtures import count_parses, split_tables, write_table
+from repo_fixtures import count_parses, write_table
 
 
 CONFIG = default_config()
@@ -254,173 +247,6 @@ def test_scan_records_table_failures_without_aborting(tmp_path):
     assert kinds == {"DataTable", "ParseFailure"}
 
 
-# ---------------------------------------------------------------- split table parse
-
-_TABLE_FAULTS = ("none", "ragged", "empty", "blank_lines", "undecodable", "gz", "xz", "corrupt_gz")
-_table_sets = st.lists(
-    st.tuples(st.sampled_from(_TABLE_FAULTS), st.integers(min_value=0, max_value=400)),
-    min_size=2,
-    max_size=8,
-)
-
-
-def _write_tables(root: Path, tables) -> None:
-    """One table per (fault, rows) pair, of ``rows`` data rows before the fault."""
-    for n, (fault, rows) in enumerate(tables):
-        text = "measure,value,measure_type,region_type\n" + "".join(
-            f"m{i % 7},{(i * 37) % 130 / (1 + i % 3)},{('percent', 'count')[i % 2]},county\n"
-            for i in range(rows)
-        )
-        data = {
-            "ragged": text + "m,1\n",
-            "empty": "",
-            "blank_lines": "\n\n" + text,
-        }.get(fault, text).encode("utf-8")
-        name = f"t{n}.csv"
-        if fault == "undecodable":
-            data += b"m\xff,1,count,county\n"
-        elif fault in ("gz", "corrupt_gz"):
-            name += ".gz"
-            data = gzip.compress(data)
-            if fault == "corrupt_gz":
-                data = data[: len(data) // 2] + b"\0" * 8
-        elif fault == "xz":
-            name += ".xz"
-            data = lzma.compress(data)
-        (root / name).write_bytes(data)
-
-
-def _in_process_tables(root: Path) -> tuple:
-    with pytest.MonkeyPatch.context() as patch:
-        split_tables(patch, None)
-        return scan_repo(root, CONFIG).data_tables
-
-
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@settings(max_examples=25, deadline=None)
-@given(tables=_table_sets, cpus=st.integers(min_value=2, max_value=3))
-def test_split_table_parse_equals_the_in_process_parse(tables, cpus):
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        _write_tables(root, tables)
-        expected = _in_process_tables(root)
-        with pytest.MonkeyPatch.context() as patch:
-            forked = split_tables(patch, cpus)
-            split = scan_repo(root, CONFIG).data_tables
-    assert len(forked) == min(cpus, len(tables)) - 1
-    # The same tables and failures, down to each message, in walk order.
-    assert split == expected
-    assert _no_child_left()
-
-
-def _mixed_tables(root: Path) -> tuple:
-    """Four tables and a ragged one; returns their in-process parse."""
-    for n in range(4):
-        write_table(root / f"t{n}.csv", [("01", "2021", f"m{n}", "5", "percent", "county")] * (n + 1))
-    (root / "ragged.csv").write_text("a,b\n1,2,3\n", encoding="utf-8")
-    return _in_process_tables(root)
-
-
-def test_split_shares_are_balanced_by_size(monkeypatch):
-    # The last two tables weigh 0 bytes, as an empty and an unreadable file do.
-    sizes = [9000, 1000, 1000, 3000, 4000, 1000, 0, 0]
-    assert scanner._shares(sizes) == [list(range(len(sizes)))]  # below the size floor
-    split_tables(monkeypatch, 2)
-    # Largest first, each to the lighter share, then to the one with fewer tables.
-    assert scanner._shares(sizes) == [[0, 5], [4, 3, 1, 2, 6, 7]]
-    split_tables(monkeypatch, 3)
-    assert scanner._shares(sizes[6:]) == [[0], [1]]
-    assert scanner._shares([sizes[6]] * 4) == [[0, 3], [1], [2]]
-
-
-@pytest.mark.parametrize("fault", ["exit", "sigkill", "short_read", "fork_fails"])
-def test_split_table_parse_survives_a_failed_child(tmp_path, monkeypatch, fault):
-    expected = _mixed_tables(tmp_path)
-    parent = os.getpid()
-    forked = split_tables(monkeypatch, 3)
-    if fault == "fork_fails":
-
-        def refused() -> int:
-            raise OSError(errno.EAGAIN, "fork refused")
-
-        monkeypatch.setattr(os, "fork", refused)
-    elif fault == "short_read":
-        dumps = pickle.dumps
-        monkeypatch.setattr(pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-3])
-    else:
-        parse = scanner.parse_data_table
-
-        def dying(full, rel):
-            if os.getpid() != parent:
-                if fault == "exit":
-                    os._exit(1)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return parse(full, rel)
-
-        monkeypatch.setattr(scanner, "parse_data_table", dying)
-    assert scan_repo(tmp_path, CONFIG).data_tables == expected
-    assert len(forked) == (0 if fault == "fork_fails" else 2)
-    assert _no_child_left()
-
-
-def test_split_table_parse_raises_what_the_in_process_parse_raises(tmp_path, monkeypatch):
-    _mixed_tables(tmp_path)
-    parse = scanner.parse_data_table
-
-    def failing(full, rel):
-        if rel == "t2.csv":
-            raise RuntimeError(f"bug on {rel}")
-        return parse(full, rel)
-
-    monkeypatch.setattr(scanner, "parse_data_table", failing)
-    for cpus in (None, 3):
-        forked = split_tables(monkeypatch, cpus)
-        with pytest.raises(RuntimeError, match="^bug on t2.csv$"):
-            scan_repo(tmp_path, CONFIG).data_tables
-        assert len(forked) == (cpus or 1) - 1
-        assert _no_child_left()
-
-
-def test_split_table_parse_kills_and_reaps_its_children_on_interrupt(tmp_path, monkeypatch):
-    _mixed_tables(tmp_path)
-    parent = os.getpid()
-
-    def interrupted(full, rel):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(scanner, "parse_data_table", interrupted)
-    forked = split_tables(monkeypatch, 3)
-    started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        scan_repo(tmp_path, CONFIG).data_tables
-    assert len(forked) == 2 and time.monotonic() - started < 30
-    assert _no_child_left()
-
-
-def test_split_table_parse_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
-    expected = _mixed_tables(tmp_path)
-    forked = split_tables(monkeypatch, 3)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(30,))
-    thread.start()
-    try:
-        tables = scan_repo(tmp_path, CONFIG).data_tables
-    finally:
-        release.set()
-        thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert forked == [] and tables == expected
-
-
 def test_snapshot_paths_are_sorted_posix(planted_repo):
     root, _ = planted_repo
     snapshot = scan_repo(root, CONFIG)
@@ -431,7 +257,7 @@ def test_snapshot_paths_are_sorted_posix(planted_repo):
 
 
 def test_snapshot_views_parse_on_first_access_only(clean_repo, monkeypatch, tmp_path):
-    parses = count_parses(monkeypatch, tmp_path / "parses.log")
+    parses = count_parses(monkeypatch)
     snapshot = scan_repo(clean_repo, CONFIG)
     assert parses() == (Counter(), Counter())
     first = snapshot.data_tables

@@ -108,7 +108,7 @@ def test_a_warm_cached_parse_equals_a_fresh_parse(files):
         expected = _fresh(root)
         _same(_cached(root), expected)
         with pytest.MonkeyPatch.context() as counting:
-            parses = count_parses(counting, Path(tmp) / "parses.log")
+            parses = count_parses(counting)
             warm = _cached(root)
         _same(warm, expected)
         # Only failures are parsed again.
@@ -133,7 +133,7 @@ def test_a_changed_byte_misses_and_a_failure_is_parsed_again(tmp_path, cache_hom
     data = (root / "b.csv").read_bytes()
     (root / "b.csv").write_bytes(data.replace(b"m3,3", b"m3,4"))
     expected = _fresh(root)
-    parses = count_parses(monkeypatch, tmp_path / "parses.log")
+    parses = count_parses(monkeypatch)
     _same(_cached(root), expected)
     assert parses()[0] == Counter({"b.csv": 1, "ragged.csv": 1})
 
@@ -147,7 +147,7 @@ def test_the_same_bytes_under_another_codec_do_not_collide(tmp_path, cache_home,
     assert isinstance(_cached(root)[0], DataTable)
     (root / "u.csv").write_bytes(data)
     settle_files(root)
-    parses = count_parses(monkeypatch, tmp_path / "parses.log")
+    parses = count_parses(monkeypatch)
     tables = _cached(root)
     assert parses()[0] == Counter({"u.csv": 1})
     assert tables == _fresh(root)
@@ -196,7 +196,8 @@ def test_an_unreadable_table_fails_as_in_a_fresh_parse_and_weighs_nothing(tmp_pa
     assert cached.data_tables == fresh.data_tables
     assert isinstance(cached.data_tables[1], ParseFailure)
     assert table_cache._key(tmp_path / "gone.csv") == (None, None)
-    assert scanner._sizes_on_disk([(tmp_path / "gone.csv", "gone.csv")]) == [0]
+    jobs = [(tmp_path / "a.csv", "a.csv"), (tmp_path / "gone.csv", "gone.csv")]
+    assert scanner._bytes_on_disk(jobs) == (tmp_path / "a.csv").stat().st_size
 
 
 def test_only_a_cached_scan_of_enough_table_bytes_writes(
@@ -208,7 +209,7 @@ def test_only_a_cached_scan_of_enough_table_bytes_writes(
     for argv in (["scan"], ["scan", "--json"], ["dict", "--out", str(tmp_path / "d")]):
         main([*argv, "--repo", str(root)])
     assert not cache_home.exists()
-    size = sum(scanner._sizes_on_disk(list(scan_repo(root, CONFIG)._paths_of_kind("tabular_data"))))
+    size = scanner._bytes_on_disk(list(scan_repo(root, CONFIG)._paths_of_kind("tabular_data")))
     monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", size + 1)
     _cached(root)
     assert not cache_home.exists()
