@@ -401,10 +401,8 @@ def _file_name_items(cf: ClassifiedFile, run: _Run):
     problems = []
     if not re.fullmatch(config.naming_pattern, name):
         problems.append(f"name does not match pattern {config.naming_pattern}")
-    ext = name.rsplit(".", 1)[-1].lower() if "." in name else ""
-    if ext not in config.allowed_extensions:
-        shown = ext or "(none)"
-        problems.append(f"extension {shown} not in the allowlist")
+    if cf.extension not in config.allowed_extensions:
+        problems.append(f"extension {cf.extension or '(none)'} not in the allowlist")
     return [_problem_item(cf.path, problems)]
 
 
@@ -412,11 +410,7 @@ def _code_exists_items(snapshot: RepoSnapshot, run: _Run):
     """T12: every directory of distribution data has a populated code directory."""
     code_expectations: dict[str, str] = {}
     for cf in snapshot.files:
-        if (
-            cf.in_distribution
-            and cf.kind in ("tabular_data", "layer_data")
-            and cf.sibling_code_dir is not None
-        ):
+        if cf.sibling_code_dir is not None:
             code_expectations.setdefault(_dir_of(cf.path), cf.sibling_code_dir)
 
     # Every directory that holds a file at or below it.

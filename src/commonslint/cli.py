@@ -114,7 +114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not selected:
             raise ConfigError(f"--tests names no check id: {args.tests!r}")
     config = load_config(args.config, repo_root=args.repo)
-    snapshot = _without_reports(scan_repo(args.repo, config, cache_tables=True), args.out)
+    snapshot = _without_reports(scan_repo(args.repo, config), args.out)
     suite = run_suite(snapshot, config, selected, dev=args.dev, strict=args.strict)
     for report in suite.reports:
         tier = suite.enforcement[report.check.id]

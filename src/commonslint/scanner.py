@@ -9,11 +9,10 @@ keeps no rows, only what the checks need. Parsing is lenient: failures are
 recorded in the view rather than raised, so a single bad file never aborts
 a suite run. Every table is parsed in the calling process.
 
-A snapshot scanned with ``cache_tables=True``, as ``commonslint check``
-scans, takes its tables through the table cache (``table_cache``) when
+A snapshot takes its tables through the table cache (``table_cache``) when
 their bytes on disk reach ``_CACHE_MIN_BYTES``: each table is read once to
 hash it, and only the tables whose bytes the cache does not know are
-parsed. Below that size the tables are parsed as without the cache.
+parsed. Below that size the tables are parsed and the cache is not touched.
 """
 
 from __future__ import annotations
@@ -39,11 +38,12 @@ _TABULAR_EXTENSIONS = {".csv"}
 _COMPRESSION_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 # Extensions of the non-metadata files that get a JSON syntax verdict (T8).
 _JSON_EXTENSIONS = frozenset({"json", "geojson"})
-# Table bytes on disk below which a cached snapshot parses its tables as an
-# uncached one does, never touching the cache. A warm run still opens and
-# hashes every table and loads the cache file: on 0.6 MB in 404 tables that
-# cost about what the parse costs, while `check` on 5.1 MB in 21 tables went
-# from 0.18 s to 0.025 s.
+# Table bytes on disk below which a snapshot parses its tables and never
+# touches the cache. On 0.6 MB in 404 tables a warm cache reads them in
+# about 60 % of the parse's time, yet neither a warm nor a cold `check`
+# process is faster, and `import hashlib` adds 3.9 MB to its peak
+# (BENCH_cache_gate.json). Above it, a warm `check` on 5.1 MB in 21 tables
+# went from 0.18 s to 0.025 s.
 _CACHE_MIN_BYTES = 1 << 20
 
 
@@ -59,6 +59,12 @@ class ClassifiedFile:
     @property
     def basename(self) -> str:
         return self.path.rpartition("/")[2]
+
+    @property
+    def extension(self) -> str:
+        """The basename's text after its last dot, lower-cased; '' when it has no dot."""
+        _, dot, after = self.basename.rpartition(".")
+        return after.lower() if dot else ""
 
 
 @dataclass(frozen=True)
@@ -150,13 +156,12 @@ class RepoSnapshot:
     ``scan_repo`` fills the fields. Each parsed view reads its files on
     first access and keeps the result; a file changed after the walk is
     read as it is at that access. Two scans of an unchanged tree are equal,
-    and so are their views. ``cache_tables`` says whether ``data_tables``
-    may go through the table cache; it changes no view, and equality ignores it.
+    and so are their views. ``data_tables`` goes through the table cache
+    when the tables hold at least ``_CACHE_MIN_BYTES``; that changes no view.
     """
 
     root: str
     files: tuple[ClassifiedFile, ...]
-    cache_tables: bool = field(default=False, compare=False)
 
     def _paths_of_kind(self, kind: str):
         root = Path(self.root)
@@ -179,7 +184,7 @@ class RepoSnapshot:
     def data_tables(self) -> tuple[DataTable | ParseFailure, ...]:
         """Each tabular file, parsed, or the failure that stopped its parse."""
         jobs = list(self._paths_of_kind("tabular_data"))
-        if self.cache_tables and _bytes_on_disk(jobs) >= _CACHE_MIN_BYTES:
+        if _bytes_on_disk(jobs) >= _CACHE_MIN_BYTES:
             from .table_cache import cached_tables  # only here is hashlib loaded
 
             return tuple(cached_tables(Path(self.root), jobs))
@@ -197,7 +202,7 @@ class RepoSnapshot:
                 failure = info_failures.get(cf.path)
                 # A structural failure is still readable JSON.
                 syntax[cf.path] = failure.message if failure and failure.stage == "json" else None
-            elif cf.path.rsplit(".", 1)[-1].lower() in _JSON_EXTENSIONS:
+            elif cf.extension in _JSON_EXTENSIONS:
                 syntax[cf.path] = _json_verdict(Path(self.root) / cf.path)
         return syntax
 
@@ -383,19 +388,16 @@ def _bytes_on_disk(jobs: list[tuple[Path, str]]) -> int:
     return total
 
 
-def scan_repo(
-    root: str | Path, config: RepoConfig | None = None, *, cache_tables: bool = False
-) -> RepoSnapshot:
+def scan_repo(root: str | Path, config: RepoConfig | None = None) -> RepoSnapshot:
     """Walk a repository tree, classify its files and return their snapshot.
 
     Reads no file contents; the snapshot's parsed views do that on first
     access. Directories named in ``ignore_dirs`` are skipped at any depth,
     and symlinked directories are not entered. Only regular files are kept,
     and a symlink to one only if it resolves inside the root, so no later
-    read leaves the tree. Unreadable directories are skipped. With
-    ``cache_tables`` the snapshot's tables may go through the table cache,
-    which lives outside the root and which they may read and write; without
-    it the snapshot writes nothing.
+    read leaves the tree. Unreadable directories are skipped. When its
+    tables hold at least ``_CACHE_MIN_BYTES``, the snapshot reads and writes
+    the table cache, which lives outside the root; below that it writes nothing.
     """
     config = config or default_config()
     root_path = Path(root)
@@ -428,8 +430,4 @@ def scan_repo(
                 rel_paths.append(prefix + entry.name)
     rel_paths.sort()
 
-    return RepoSnapshot(
-        root=top,
-        files=tuple(classify(rel, config) for rel in rel_paths),
-        cache_tables=cache_tables,
-    )
+    return RepoSnapshot(root=top, files=tuple(classify(rel, config) for rel in rel_paths))

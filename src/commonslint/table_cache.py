@@ -1,10 +1,10 @@
 """The table cache: each table's parse, kept by the bytes of its file.
 
-``commonslint check`` scans with ``cache_tables=True``. When its tables'
-bytes on disk reach ``scanner._CACHE_MIN_BYTES``, the snapshot's
-``data_tables`` come from ``cached_tables``. Each table file is read once,
-to hash it. A table whose key the cache holds is built from the cache and
-not parsed; the others are parsed in this process, one by one.
+When a snapshot's tables hold at least ``scanner._CACHE_MIN_BYTES`` on
+disk, its ``data_tables`` come from ``cached_tables``, for ``check`` and a
+library read alike. Each table file is read once, to hash it. A table
+whose key the cache holds is built from the cache and not parsed; the
+others are parsed in this process, one by one.
 
 - Key: the compression suffix ``_open_table`` decodes the file by (``.gz``,
   ``.bz2``, ``.xz`` or none), then the SHA-256 of the file's bytes on disk.

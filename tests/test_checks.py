@@ -871,6 +871,83 @@ def test_t8_vacuous_without_json_files(tmp_path):
     assert report.passed
 
 
+def test_t8_reads_the_extension_from_the_basename(tmp_path):
+    # A root file named `json` has no extension, as T11 reads it.
+    (tmp_path / "json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "ok.json").write_text('{"a": 1}', encoding="utf-8")
+    (report,) = reports_for(snapshot_of(tmp_path), CONFIG, "T8")
+    assert [(i.path, i.verdict) for i in report.items] == [("ok.json", "valid")]
+
+
+_T8_PATHS = st.tuples(
+    st.sampled_from(["", "sub/"]),
+    st.sampled_from(["", "a", "json", "b.json", "measure_info"]),
+    st.sampled_from(["", ".json", ".JSON", ".geojson", ".GeoJSON", ".json.gz", ".txt"]),
+).map("".join).filter(lambda path: path.rpartition("/")[2] != "")
+_T8_CONTENTS = [
+    b'{"m": {"a": 1}}',
+    b"{not json",
+    b"[1, 2]",  # a measure_info file that fails only its structure check
+    b'{"m": 1}',
+    b'{"a": 1, "a": 2}',
+    b'{"a": "\xff"}',
+    b"",
+]
+
+
+def _t8_oracle(root: Path, paths: list[str]) -> list[tuple[str, str]]:
+    """T8's (path, verdict) items, from the README's rules."""
+    items = []
+    for path in sorted(paths):
+        base = PurePosixPath(path).name
+        _, dot, after = base.rpartition(".")
+        judged = dot and after.lower() in ("json", "geojson")
+        if not (judged or fnmatch(base, CONFIG.metadata_filename)):
+            continue
+        try:
+            json.loads((root / path).read_bytes().decode("utf-8"))
+        except (OSError, ValueError):
+            items.append((path, "invalid"))
+        else:
+            items.append((path, "valid"))
+    return items
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    files=st.lists(
+        st.tuples(_T8_PATHS, st.sampled_from(_T8_CONTENTS), st.booleans()),
+        unique_by=lambda file: file[0],
+        max_size=6,
+    )
+)
+# A root file named `json` has no extension and is not judged.
+@example(files=[("json", b"{not json", False), ("b.json", b"{}", False)])
+# A file gone after the walk is unreadable, so invalid; a dotfile is judged.
+@example(
+    files=[
+        ("a.json", b"{}", True),
+        ("sub/measure_info.json", b"{not json", True),
+        ("measure_info.json", b"[1, 2]", False),
+        ("sub/.GeoJSON", b"{not json", False),
+    ]
+)
+def test_t8_matches_a_json_oracle(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "sub").mkdir()
+        for path, data, _ in files:
+            (root / path).write_bytes(data)
+        snapshot = scan_repo(root, CONFIG)
+        # Removed after the walk, so the snapshot lists a file it cannot read.
+        for path, _, gone in files:
+            if gone:
+                (root / path).unlink()
+        (report,) = reports_for(snapshot, CONFIG, "T8")
+        items = [(item.path, item.verdict) for item in report.items]
+        assert items == _t8_oracle(root, [path for path, _, _ in files])
+
+
 # ---------------------------------------------------------------- suite
 
 

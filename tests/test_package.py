@@ -14,7 +14,9 @@ from pathlib import Path
 import yaml
 
 import commonslint
+from commonslint import table_cache
 from commonslint.config import parse_config
+from repo_fixtures import settle_files
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -138,3 +140,32 @@ def test_only_a_check_through_the_table_cache_loads_hashlib(clean_repo, tmp_path
         capture_output=True, text=True, env=env, check=True,
     )
     assert run.stdout.splitlines()[-1] == "False True"
+
+
+_LIBRARY_READ = """\
+import os
+import sys
+from commonslint import scan_repo, scanner
+
+repo, cache_home = sys.argv[1:]
+scan_repo(repo).data_tables  # tables below _CACHE_MIN_BYTES
+below = ("hashlib" in sys.modules, os.path.exists(cache_home))
+scanner._CACHE_MIN_BYTES = 0
+scan_repo(repo).data_tables
+print(*below, "hashlib" in sys.modules, sorted(os.listdir(f"{cache_home}/commonslint")))
+"""
+
+
+def test_a_library_read_takes_the_table_cache_only_at_the_gate(
+    clean_repo, tmp_path, monkeypatch
+):
+    settle_files(clean_repo)
+    cache_home = tmp_path / "cache-home"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_READ, str(clean_repo), str(cache_home)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    expected = [table_cache.cache_path(clean_repo).name]
+    assert run.stdout.splitlines()[-1] == f"False False True {expected}"

@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commonslint import cli, scanner, table_cache
+from commonslint import scanner, table_cache
 from commonslint.cli import main
 from commonslint.config import default_config
 from commonslint.scanner import DataTable, ParseFailure, scan_repo
@@ -36,11 +37,13 @@ def cache_home(tmp_path, monkeypatch) -> Path:
 
 
 def _fresh(root: Path) -> tuple:
-    return scan_repo(root, CONFIG).data_tables
+    """Each table parsed by ``_parse_table``, never through the cache: the reference."""
+    jobs = scan_repo(root, CONFIG)._paths_of_kind("tabular_data")
+    return tuple(scanner._parse_table(*job) for job in jobs)
 
 
 def _cached(root: Path) -> tuple:
-    return scan_repo(root, CONFIG, cache_tables=True).data_tables
+    return scan_repo(root, CONFIG).data_tables
 
 
 def _entries(root: Path) -> dict:
@@ -190,31 +193,33 @@ def test_a_table_written_just_before_its_hash_is_not_cached(tmp_path, cache_home
 def test_an_unreadable_table_fails_as_in_a_fresh_parse_and_weighs_nothing(tmp_path, cache_home):
     write_table(tmp_path / "a.csv", _rows(2))
     write_table(tmp_path / "gone.csv", _rows(2))
-    cached = scan_repo(tmp_path, CONFIG, cache_tables=True)
-    fresh = scan_repo(tmp_path, CONFIG)
+    cached = scan_repo(tmp_path, CONFIG)
     (tmp_path / "gone.csv").unlink()
-    assert cached.data_tables == fresh.data_tables
+    jobs = [(tmp_path / "a.csv", "a.csv"), (tmp_path / "gone.csv", "gone.csv")]
+    assert cached.data_tables == tuple(scanner._parse_table(*job) for job in jobs)
     assert isinstance(cached.data_tables[1], ParseFailure)
     assert table_cache._key(tmp_path / "gone.csv") == (None, None)
-    jobs = [(tmp_path / "a.csv", "a.csv"), (tmp_path / "gone.csv", "gone.csv")]
     assert scanner._bytes_on_disk(jobs) == (tmp_path / "a.csv").stat().st_size
 
 
 def test_only_a_cached_scan_of_enough_table_bytes_writes(
     planted_repo, tmp_path, cache_home, monkeypatch
 ):
+    # scan and dict read no table. A library read, like check, takes the
+    # cache exactly when the tables reach the gate.
     root, _ = planted_repo
     settle_files(root)
-    assert _fresh(root)
     for argv in (["scan"], ["scan", "--json"], ["dict", "--out", str(tmp_path / "d")]):
         main([*argv, "--repo", str(root)])
     assert not cache_home.exists()
+    expected = _fresh(root)
+    assert expected
     size = scanner._bytes_on_disk(list(scan_repo(root, CONFIG)._paths_of_kind("tabular_data")))
     monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", size + 1)
-    _cached(root)
+    _same(_cached(root), expected)
     assert not cache_home.exists()
     monkeypatch.setattr(scanner, "_CACHE_MIN_BYTES", size)
-    _cached(root)
+    _same(_cached(root), expected)
     assert [p.name for p in (cache_home / "commonslint").iterdir()] == [
         table_cache.cache_path(root).name
     ]
@@ -246,7 +251,7 @@ def _check(root: Path, out: Path, capsys, cached: bool = True) -> tuple:
     """Exit code, stdout and suite.json of ``check``, or of a ``check`` without the cache."""
     with pytest.MonkeyPatch.context() as patch:
         if not cached:
-            patch.setattr(cli, "scan_repo", lambda root, config, **_: scan_repo(root, config))
+            patch.setattr(scanner, "_CACHE_MIN_BYTES", math.inf)
         code = main(["check", "--repo", str(root), "--out", str(out)])
     captured = capsys.readouterr()
     assert captured.err == ""
